@@ -219,6 +219,26 @@ def _output_gap(a, b):
     return float(np.max(np.abs(a - b)))
 
 
+def one_step_gaps(base, model, X, T, probes, eta=1.0) -> dict:
+    """Max probe-output gaps between base and its twins after one step each.
+
+    (a) tanh_qdop_gap: a sigmoid net and its tanh reparameterization under
+    qdop; (b) invert_qdop_gap: the net and its input-flip twin, trained on
+    1 - X with the bias correspondence; invert_sgd_gap: (b) under sgd,
+    which is not invariant. Works for dense and masked nets alike.
+    """
+    gaps = {"tanh_qdop_gap": _output_gap(
+        _one_step_outputs(base.copy(), model, X, T, probes, "qdop", eta),
+        _one_step_outputs(to_tanh_equivalent(base), model, X, T, probes, "qdop", eta),
+    )}
+    for algo in ("qdop", "sgd"):
+        ya = _one_step_outputs(base.copy(), model, X, T, probes, algo, eta)
+        yb = _one_step_outputs(to_inverted_inputs(base), model, 1.0 - X, T,
+                               1.0 - probes, algo, eta)
+        gaps[f"invert_{algo}_gap"] = _output_gap(ya, yb)
+    return gaps
+
+
 def suite_invariance(seed=0, eta=1.0, n_probes=100) -> CheckResult:
     """One-step affine invariances of qdop, with an sgd counterexample.
 
@@ -237,34 +257,13 @@ def suite_invariance(seed=0, eta=1.0, n_probes=100) -> CheckResult:
     T = rng.integers(0, 3, size=40)
     probes = rng.uniform(0.0, 1.0, size=(n_probes, 6))
 
-    # (a) sigmoid <-> tanh activity reparameterization
-    net_s = base.copy()
-    net_t = to_tanh_equivalent(base)
-    ya = _one_step_outputs(net_s, model, X, T, probes, "qdop", eta)
-    yb = _one_step_outputs(net_t, model, X, T, probes, "qdop", eta)
-    tanh_gap = _output_gap(ya, yb)
-
-    # (b) input inversion with the bias correspondence
-    net_a = base.copy()
-    net_b = to_inverted_inputs(base)
-    ya = _one_step_outputs(net_a, model, X, T, probes, "qdop", eta)
-    yb = _one_step_outputs(net_b, model, 1.0 - X, T, 1.0 - probes, "qdop", eta)
-    invert_gap = _output_gap(ya, yb)
-
-    # sgd witness on the same inversion pairing
-    net_a = base.copy()
-    net_b = to_inverted_inputs(base)
-    ya = _one_step_outputs(net_a, model, X, T, probes, "sgd", eta)
-    yb = _one_step_outputs(net_b, model, 1.0 - X, T, 1.0 - probes, "sgd", eta)
-    sgd_gap = _output_gap(ya, yb)
-
+    gaps = one_step_gaps(base, model, X, T, probes, eta)
     rescale = rescaling_trajectory_gaps(seed=seed + 1)
-    passed = (tanh_gap <= 1e-6 and invert_gap <= 1e-6 and sgd_gap >= 1e-3
+    passed = (gaps["tanh_qdop_gap"] <= 1e-6 and gaps["invert_qdop_gap"] <= 1e-6
+              and gaps["invert_sgd_gap"] >= 1e-3
               and rescale["dop"] <= 1e-6 and rescale["adagrad"] > 1e-3)
     return CheckResult("invariance", passed, {
-        "tanh_qdop_gap": tanh_gap,
-        "invert_qdop_gap": invert_gap,
-        "invert_sgd_gap": sgd_gap,
+        **gaps,
         "rescale_dop_rel": rescale["dop"],
         "rescale_adagrad_rel": rescale["adagrad"],
     })

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse import csr_array
 
 from qdgrad.metric import QDMetric
 from qdgrad.network import (
@@ -186,6 +190,26 @@ def test_sparse_layout_deterministic_and_bounded():
         make_sparse_layout([3, 5, 2], fan_in=4, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 101])
+def test_sparse_layout_matches_full_sort_selection(seed):
+    # each unit's sources are the fan_in smallest of its uniform draws
+    sizes = [30, 25, 12, 4]
+    masks = make_sparse_layout(sizes, 7, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for layer in range(len(sizes) - 2):
+        n, m = sizes[layer + 1], sizes[layer]
+        cols = np.argsort(rng.random((n, m)), axis=1)[:, :7]
+        ref = np.zeros((n, m), dtype=bool)
+        np.put_along_axis(ref, cols, True, axis=1)
+        np.testing.assert_array_equal(masks[layer], ref)
+
+
+@pytest.mark.parametrize("fan_in", [-1, 0])
+def test_sparse_layout_rejects_nonpositive_fan_in(fan_in):
+    with pytest.raises(ValueError, match="fan_in"):
+        make_sparse_layout([5, 4, 2], fan_in, np.random.default_rng(0))
+
+
 def test_sparse_reference_architecture_parameter_count():
     sizes = [784, 2560, 1280, 640, 320, 160, 80, 40, 20, 10]
     rng = np.random.default_rng(0)
@@ -334,6 +358,102 @@ def test_qd_batch_terms_scalar_weight_broadcasts():
     d2, r2 = net.qd_batch_terms(tr, deltas, np.full(4, 0.25))
     np.testing.assert_array_equal(d1, d2)
     np.testing.assert_array_equal(r1, r2)
+
+
+# ---------------------------------------------------------------------------
+# Masked layers against a dense reference
+# ---------------------------------------------------------------------------
+
+
+def dense_reference(net, x, drop_masks, output_grad, sample_weights):
+    """Forward, deltas, gradient and QD terms from zero-filled dense weights.
+
+    Flat vectors are assembled unit by unit from the dense per-layer
+    products, keeping only each unit's connected sources.
+    """
+    weights = [w.toarray() if isinstance(w, csr_array) else w for w in net.weights]
+    conn = [np.ones(w.shape, dtype=bool) if m is None else m
+            for w, m in zip(weights, net.masks)]
+    act = {"sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "tanh": np.tanh,
+           "relu": lambda z: np.maximum(z, 0.0)}[net.activation]
+    acts, pre = [x], []
+    for layer, w in enumerate(weights):
+        pre.append(acts[-1] @ w.T + net.biases[layer])
+        if layer < net.n_layers - 1:
+            h = act(pre[-1])
+            acts.append(h if drop_masks[layer] is None else h * drop_masks[layer])
+    deltas = [output_grad]
+    for layer in range(net.n_layers - 1, 0, -1):
+        z = pre[layer - 1]
+        h = act(z)
+        deriv = {"sigmoid": h * (1.0 - h), "tanh": 1.0 - h * h,
+                 "relu": (z > 0.0).astype(float)}[net.activation]
+        d = deltas[0] @ weights[layer]
+        if drop_masks[layer - 1] is not None:
+            d = d * drop_masks[layer - 1]
+        deltas.insert(0, d * deriv)
+
+    def flat(per_layer):
+        parts = []
+        for (bias, matrix), c in zip(per_layer, conn):
+            for u in range(len(bias)):
+                parts.append([bias[u]])
+                parts.append(matrix[u][c[u]])
+        return np.concatenate(parts)
+
+    d2w = [sample_weights[:, None] * d**2 for d in deltas]
+    grad = flat([(d.sum(axis=0), d.T @ a) for d, a in zip(deltas, acts)])
+    diag = flat([(q.sum(axis=0), q.T @ (a * a)) for q, a in zip(d2w, acts)])
+    row = flat([(np.zeros(q.shape[1]), q.T @ a) for q, a in zip(d2w, acts)])
+    return pre, deltas, grad, diag, row
+
+
+def assert_close(got, ref):
+    """1e-12 relative to the largest reference entry."""
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(initial=1.0))
+
+
+@st.composite
+def masked_nets(draw):
+    """Random layer sizes and boolean masks: ragged, empty and full rows alike."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    masks = [draw(hnp.arrays(bool, (sizes[i + 1], sizes[i]))) for i in range(len(sizes) - 1)]
+    activation = draw(st.sampled_from(["sigmoid", "tanh", "relu"]))
+    return sizes, masks, activation
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_nets(), st.integers(1, 5), st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+@example(  # a ragged layer with an empty row, then a full one
+    ([4, 3, 3, 2],
+     [np.array([[1, 0, 1, 1], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=bool),
+      np.ones((3, 3), dtype=bool),
+      np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)],
+     "tanh"),
+    4, 0.3, 7,
+)
+def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
+    sizes, masks, activation = net_spec
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, sizes, activation, masks=masks, dropout=dropout)
+    X = rng.standard_normal((batch, sizes[0]))
+    C = rng.standard_normal((batch, sizes[-1]))
+    w = rng.uniform(0.1, 2.0, size=batch)
+
+    tr = net.forward(X, mode="train", rng=np.random.default_rng(seed + 1))
+    deltas = net.backprop_deltas(tr, C)
+    pre, ref_deltas, grad, diag, row = dense_reference(net, X, tr.masks, C, w)
+    for got, ref in zip(tr.pre_activations, pre):
+        assert_close(got, ref)
+    for got, ref in zip(deltas, ref_deltas):
+        assert_close(got, ref)
+    assert_close(net.grad_from_deltas(tr, deltas), grad)
+    qd_diag, qd_row = net.qd_batch_terms(tr, deltas, w, quasi=True)
+    assert_close(qd_diag, diag)
+    assert_close(qd_row, row)
+    d_only, none = net.qd_batch_terms(tr, deltas, w, quasi=False)
+    assert_close(d_only, diag)
+    assert none is None
 
 
 # ---------------------------------------------------------------------------

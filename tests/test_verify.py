@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from qdgrad.metric import BlockLayout, QDMetric
+from qdgrad.network import Network, make_sparse_layout
+from qdgrad.outputs import CategoricalOutput
 from qdgrad.verify import (
     SUITES,
     CheckResult,
+    one_step_gaps,
     pairwise_solve_oracle,
     rescaling_trajectory_gaps,
     run_suite,
@@ -102,3 +106,20 @@ def test_rescaling_gaps_are_seeded():
     b = rescaling_trajectory_gaps(seed=9, steps=3)
     assert a == b
     assert set(a) == {"dop", "adagrad"}
+
+
+def test_one_step_invariances_hold_on_a_masked_net():
+    # checks (a) and (b) of the invariance suite, on fan-in 3 hidden layers
+    rng = np.random.default_rng(0)
+    sizes = [6, 5, 4, 3]
+    base = Network(sizes, "sigmoid", masks=make_sparse_layout(sizes, 3, rng))
+    assert [isinstance(w, csr_array) for w in base.weights] == [True, True, False]
+    base.init_params(rng)
+    base.set_params(0.8 * rng.standard_normal(base.layout.dim))
+    X = rng.uniform(0.0, 1.0, size=(40, 6))
+    T = rng.integers(0, 3, size=40)
+    probes = rng.uniform(0.0, 1.0, size=(100, 6))
+    gaps = one_step_gaps(base, CategoricalOutput(3), X, T, probes)
+    assert gaps["tanh_qdop_gap"] <= 1e-6
+    assert gaps["invert_qdop_gap"] <= 1e-6
+    assert gaps["invert_sgd_gap"] >= 1e-3  # the pairing is not trivially equal
