@@ -12,6 +12,7 @@ from .data import generate_eeg, load_csv, load_idx
 from .harness import (
     DEFAULT_ETA_GRID,
     RunConfig,
+    RunConfigError,
     benchmark,
     grid_search,
     parse_config_file,
@@ -245,7 +246,11 @@ def main(argv=None) -> int:
     opt = _merge_options(args)
     handler = {"train": cmd_train, "grid": cmd_grid,
                "bench": cmd_bench, "verify": cmd_verify}[args.command]
-    return handler(opt)
+    try:
+        return handler(opt)
+    except RunConfigError as e:  # raised only while a run is built, never by a step
+        print(f"qdgrad: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

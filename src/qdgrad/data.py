@@ -23,7 +23,6 @@ __all__ = [
     "minibatches",
     "apply_transform",
     "generate_eeg",
-    "rgb_to_grayscale",
     "split_last",
 ]
 
@@ -290,10 +289,3 @@ def generate_eeg(n_samples, n_channels=56, n_sources=8, noise=0.05,
     train_idx, valid_idx = split_last(n_samples, n_valid)
     return Dataset(x, None, "self", None, train_idx, valid_idx)
 
-
-def rgb_to_grayscale(rgb):
-    """Luma projection of (..., 3) arrays with weights 0.299/0.587/0.114."""
-    rgb = np.asarray(rgb, dtype=float)
-    if rgb.shape[-1] != 3:
-        raise ValueError("last axis must hold the 3 color channels")
-    return rgb @ np.array([0.299, 0.587, 0.114])

@@ -13,6 +13,7 @@ from .outputs import make_output_model
 
 __all__ = [
     "RunConfig",
+    "RunConfigError",
     "TrainLog",
     "LogRow",
     "run_training",
@@ -51,6 +52,10 @@ class RunConfig:
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(self.algo, self.lr, self.gamma, self.epsilon, self.nmc)
+
+
+class RunConfigError(ValueError):
+    """The run's configuration cannot be built, for instance for its dataset."""
 
 
 @dataclass
@@ -137,25 +142,32 @@ def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
 
 
 def _build(ds: Dataset, config: RunConfig):
-    """Network, output model, and optimizer state for a run, deterministically."""
-    arch = [int(s) for s in config.arch]
-    if arch[0] != ds.n_features:
-        raise ValueError(f"arch input width {arch[0]} != dataset {ds.n_features}")
-    if arch[-1] != ds.n_outputs:
-        raise ValueError(f"arch output width {arch[-1]} != dataset {ds.n_outputs}")
-    if config.output == "categorical" and ds.target_kind != "class":
-        raise ValueError("categorical output needs class targets")
-    if config.output != "categorical" and ds.target_kind == "class":
-        raise ValueError("class targets need a categorical output")
-    rng = np.random.default_rng(config.seed)
-    masks = None
-    if config.sparsity is not None:
-        masks = make_sparse_layout(arch, config.sparsity, rng)
-    net = Network(arch, config.activation, masks=masks, dropout=config.dropout)
-    net.init_params(rng)
-    model = make_output_model(config.output, arch[-1])
-    cfg = config.optimizer_config()
-    state = OptimizerState(net, cfg)
+    """Network, output model, and optimizer state for a run, deterministically.
+
+    Every ValueError raised here is a configuration error and surfaces as a
+    RunConfigError.
+    """
+    try:
+        arch = [int(s) for s in config.arch]
+        if arch[0] != ds.n_features:
+            raise ValueError(f"arch input width {arch[0]} != dataset {ds.n_features}")
+        if arch[-1] != ds.n_outputs:
+            raise ValueError(f"arch output width {arch[-1]} != dataset {ds.n_outputs}")
+        if config.output == "categorical" and ds.target_kind != "class":
+            raise ValueError("categorical output needs class targets")
+        if config.output != "categorical" and ds.target_kind == "class":
+            raise ValueError("class targets need a categorical output")
+        rng = np.random.default_rng(config.seed)
+        masks = None
+        if config.sparsity is not None:
+            masks = make_sparse_layout(arch, config.sparsity, rng)
+        net = Network(arch, config.activation, masks=masks, dropout=config.dropout)
+        net.init_params(rng)
+        model = make_output_model(config.output, arch[-1])
+        cfg = config.optimizer_config()
+        state = OptimizerState(net, cfg)
+    except ValueError as e:
+        raise RunConfigError(str(e)) from e
     return net, model, state, cfg, rng
 
 

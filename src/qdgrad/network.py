@@ -1,34 +1,38 @@
 """Feedforward MLP with per-unit parameter blocks.
 
-Parameters live in a flat vector ordered layer by layer, unit by unit:
-each unit's block is [bias, incoming weights in ascending source index].
-Masked-out weights are excluded from the flat vector entirely, so the block
-of a sparse unit has length 1 + fan_in. A fully connected layer stores its
-weights as a dense (n, m) matrix; a masked layer stores only its nonzeros,
-as a scipy.sparse.csr_array whose data is in block order, and every pass
-over it (forward, backprop, gradient, metric terms) costs in proportion to
-its nonzeros, not to n * m.
+Parameters live in one flat vector, theta, ordered layer by layer, unit by
+unit: each unit's block is [bias, incoming weights in ascending source
+index]. Masked-out weights are excluded entirely, so the block of a sparse
+unit has length 1 + fan_in. theta is the network's only parameter store.
+Each weight layer reads its segment of theta as one (n, 1+m) matrix
+P = [b|W] that aliases the segment: a reshape view for a fully connected
+layer, and for a masked layer a scipy.sparse.csr_array whose data is the
+segment, with the bias stored as column 0 of every row. Every pass over a
+masked layer (forward, backprop, gradient, metric terms) costs in
+proportion to its stored entries, not to n * m.
 
-The output layer is linear; output models apply their own link function.
+Activations are carried with a leading column of ones, [1|a], so the bias
+is just the weight of a constant input. The output layer is linear; output
+models apply their own link function.
 
 Besides the plain gradient, backprop exposes the per-layer delta matrices
 so the optimizer can accumulate quasi-diagonal metric terms for a whole
 minibatch with matrix products: for units of one layer, with per-sample
-deltas d (B, n), presynaptic activities a (B, m) and sample weights w,
+deltas d (B, n), layer inputs [1|a] (B, 1+m) and sample weights w,
 
-    diag entries of sum_s w_s v_s v_s^T are (w d^2) summed over samples
-    for the bias and (w d^2)^T a^2 for the weights; the bias-row entries
-    are (w d^2)^T a,
+    gradient = d^T [1|a],  diag = (w d^2)^T [1|a^2],  row = (w d^2)^T [1|a]
 
-so no per-sample gradient is ever materialized. For a masked layer the
-weight entries are these products sampled at the mask's nonzeros only:
-sum_s d[s, r] a[s, c] for each connection r <- c.
+with each unit's bias entry of row set to zero. All three have the shape
+of P and are written straight into the layer's segment of a theta-shaped
+vector, so no per-sample gradient is ever materialized. For a masked layer
+they are these products sampled at the stored entries only:
+sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 from scipy.special import expit
 
 from .metric import BlockLayout
@@ -54,13 +58,13 @@ class StaleTraceError(RuntimeError):
     """Trace was produced under different parameters than the ones in use."""
 
 
-def _act(kind, z):
+def _act(kind, z, out=None):
     if kind == "sigmoid":
-        return expit(z)
+        return expit(z, out=out)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -79,7 +83,7 @@ def _act_deriv(kind, z, h):
 class ForwardTrace:
     """Cached quantities of one forward pass (batch-shaped)."""
 
-    activations: list  # a_0 = input, a_l = post-dropout hidden activity
+    inputs: list  # [1|a_l] per weight layer: a_0 = input, then post-dropout hidden activity
     pre_activations: list  # z_1 .. z_L
     hidden: list  # pre-dropout activations h_1 .. h_(L-1)
     masks: list  # dropout masks with entries in {0, 1/(1-p)}, or None
@@ -116,9 +120,27 @@ def make_sparse_layout(sizes, fan_in, rng):
     return masks
 
 
-def _values(weights):
-    """A layer's stored weight values: the dense matrix, or the CSR nonzeros."""
-    return weights.data if isinstance(weights, csr_array) else weights
+def _with_ones(b, m):
+    """Uninitialized (b, 1+m) layer input [1|.], ones in column 0.
+
+    Stored transposed, as (1+m, b) rows: the products P @ a.T of the
+    forward pass and the row gathers of sampled_chunks read a.T, which is
+    then contiguous without a copy.
+    """
+    a = np.empty((1 + m, b)).T
+    a[:, 0] = 1.0
+    return a
+
+
+def _aliased(kind, data, indices, indptr, shape):
+    """A compressed sparse array whose data is the given view itself.
+
+    Its constructor copies a view of less than half of its base array, and
+    so does every scipy product that transposes a sparse operand first.
+    """
+    M = kind((data, indices, indptr), shape=shape)
+    M.data = data
+    return M
 
 
 # Floats per operand in one chunk of the sampled products of a masked
@@ -132,88 +154,70 @@ _CHUNK_FLOATS = 1 << 15
 
 
 class _LayerIndex:
-    """Flat-vector addressing for one weight layer.
+    """Where one weight layer's [b|W] matrix sits in a theta-shaped vector.
 
-    A dense layer maps to a contiguous (n, 1+m) segment and uses reshape
-    views; its weights are an (n, m) matrix. A masked layer keeps its
-    connectivity as CSR structure (indptr, indices; unit-major, ascending
-    source), and its weights are the nnz values in that order, which is the
-    block order: the flat segment is the CSR data with each unit's bias
-    inserted before its row.
+    The layer owns the segment flat[offset : offset + size]; row u of
+    [b|W] is the block of unit u and starts at indptr[u] in the segment. A
+    dense layer reads the segment as an (n, 1+m) matrix. A masked layer
+    keeps CSR structure over [b|W] (indptr, indices; column 0, the bias,
+    first in every row, then the sources shifted by one in ascending
+    order), whose data is the segment itself.
     """
 
     def __init__(self, mask, n, m, offset):
         self.n, self.m = n, m
         self.offset = offset
-        if mask is None:
-            self.dense = True
-            self.degrees = np.full(n, m, dtype=np.int64)
-            self.size = n * (1 + m)
+        self.dense = mask is None
+        if self.dense:
+            degrees = np.full(n, 1 + m, dtype=np.int64)
         else:
-            self.dense = False
-            rows, self.indices = np.nonzero(mask)
-            self.degrees = np.bincount(rows, minlength=n)
-            self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
-            nnz = int(self.indptr[-1])
-            self.size = n + nnz
-            self.bias_at = np.zeros(self.size, dtype=bool)
-            self.bias_at[self.indptr[:-1] + np.arange(n)] = True
+            rows, cols = np.nonzero(mask)
+            degrees = 1 + np.bincount(rows, minlength=n)
+        self.degrees = degrees  # entries per row of [b|W]
+        self.indptr = np.concatenate(([0], np.cumsum(degrees)))
+        self.size = int(self.indptr[-1])
+        if not self.dense:
+            # each row: the bias column 0, then its sources shifted by one
+            sources_before = self.indptr[:-1] - np.arange(n)
+            self.indices = np.insert(cols + 1, sources_before, 0)
 
     @property
     def mask(self):
         if self.dense:
             return None
-        ones = np.ones(self.indices.size, dtype=bool)
-        return csr_array((ones, self.indices, self.indptr), shape=(self.n, self.m)).toarray()
+        ones = np.ones(self.size, dtype=bool)
+        full = csr_array((ones, self.indices, self.indptr), shape=(self.n, 1 + self.m))
+        return full.toarray()[:, 1:]
 
-    def new_weights(self):
-        """Zero weight store: (n, m) matrix, or a CSR array over the mask."""
+    def seg(self, flat):
+        return flat[self.offset : self.offset + self.size]
+
+    def matrix(self, flat):
+        """The layer's segment of flat as the (n, 1+m) matrix [b|W], aliasing it."""
+        seg = self.seg(flat)
         if self.dense:
-            return np.zeros((self.n, self.m))
-        return csr_array(
-            (np.zeros(self.indices.size), self.indices, self.indptr), shape=(self.n, self.m)
-        )
+            return seg.reshape(self.n, 1 + self.m)
+        return _aliased(csr_array, seg, self.indices, self.indptr, (self.n, 1 + self.m))
 
-    def _seg(self, flat):
-        return flat[self.offset : self.offset + self.size].reshape(self.n, 1 + self.m)
-
-    def pack_into(self, flat, bias_part, weight_part):
-        """Write per-unit [bias, weights] values into the flat array.
-
-        weight_part is the (n, m) matrix of a dense layer, or the nnz
-        weight values of a masked layer in CSR order (see _values).
-        """
+    def matrix_t(self, flat):
+        """The transpose of matrix(flat), aliasing the same segment."""
         if self.dense:
-            seg = self._seg(flat)
-            seg[:, 0] = bias_part
-            seg[:, 1:] = weight_part
-        else:
-            seg = flat[self.offset : self.offset + self.size]
-            seg[self.bias_at] = bias_part
-            seg[~self.bias_at] = weight_part
-
-    def unpack_from(self, flat, bias_out, weight_out):
-        if self.dense:
-            seg = self._seg(flat)
-            bias_out[:] = seg[:, 0]
-            weight_out[:] = seg[:, 1:]
-        else:
-            seg = flat[self.offset : self.offset + self.size]
-            bias_out[:] = seg[self.bias_at]
-            weight_out[:] = seg[~self.bias_at]
+            return self.matrix(flat).T
+        return _aliased(csc_array, self.seg(flat), self.indices, self.indptr, (1 + self.m, self.n))
 
     def sampled_chunks(self, d, a):
         """Operands of the sampled products of a masked layer, chunk by chunk.
 
-        For per-sample unit values d (B, n) and source values a (B, m),
-        yields (span, D, A) where span slices the layer's nonzeros and row j
-        of D and A is d[:, r_j] and a[:, c_j] for the nonzero j: r_j <- c_j.
-        Then sum_s d[s, r_j] a[s, c_j] is the row-wise dot of D and A.
+        For per-sample unit values d (B, n) and layer inputs a (B, 1+m),
+        yields (span, D, A) where span slices the layer's segment and row j
+        of D and A is d[:, r_j] and a[:, c_j] for the stored entry j of
+        [b|W] at (r_j, c_j). Then sum_s d[s, r_j] a[s, c_j] is the row-wise
+        dot of D and A.
         """
         dT = np.ascontiguousarray(d.T)
         aT = np.ascontiguousarray(a.T)
-        step = max(1, _CHUNK_FLOATS // max(1, d.shape[0]))  # nonzeros per chunk
-        cuts = np.searchsorted(self.indptr, np.arange(step, self.indptr[-1], step))
+        step = max(1, _CHUNK_FLOATS // max(1, d.shape[0]))  # entries per chunk
+        cuts = np.searchsorted(self.indptr, np.arange(step, self.size, step))
         bounds = np.unique(np.concatenate(([0], cuts, [self.n])))
         for u0, u1 in zip(bounds[:-1], bounds[1:]):
             p0, p1 = self.indptr[u0], self.indptr[u1]
@@ -239,7 +243,6 @@ class Network:
         self.dropout = float(dropout)
         self.n_layers = len(sizes) - 1
         self._index = []
-        lengths = []
         offset = 0
         for layer in range(self.n_layers):
             mask = None
@@ -251,42 +254,38 @@ class Network:
                     mask = None  # fully connected, use the dense fast path
             idx = _LayerIndex(mask, sizes[layer + 1], sizes[layer], offset)
             self._index.append(idx)
-            lengths.append(1 + idx.degrees)
             offset += idx.size
-        self.layout = BlockLayout(np.concatenate(lengths))
-        self.weights = [idx.new_weights() for idx in self._index]
-        self.biases = [np.zeros(sizes[i + 1]) for i in range(self.n_layers)]
+        self.layout = BlockLayout(np.concatenate([idx.degrees for idx in self._index]))
+        self.theta = np.zeros(self.layout.dim)
+        # [b|W] per weight layer, and its transpose for backprop; both alias
+        # theta, so writes to them are writes to theta
+        self.layers = [idx.matrix(self.theta) for idx in self._index]
+        self._layers_t = [idx.matrix_t(self.theta) for idx in self._index]
         self.version = 0
 
     # -- parameters ----------------------------------------------------------
 
     def get_params(self) -> ParamVector:
-        theta = np.empty(self.layout.dim)
-        for layer, idx in enumerate(self._index):
-            idx.pack_into(theta, self.biases[layer], _values(self.weights[layer]))
-        return theta
+        return self.theta.copy()
 
     def set_params(self, theta: ParamVector) -> None:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.layout.dim,):
             raise ValueError("parameter vector does not match layout")
-        for layer, idx in enumerate(self._index):
-            idx.unpack_from(theta, self.biases[layer], _values(self.weights[layer]))
+        self.theta[:] = theta
         self.version += 1
 
     def init_params(self, rng) -> None:
         """Scaled-uniform weights over unmasked connections, zero biases."""
-        for layer, idx in enumerate(self._index):
-            n, m = self.weights[layer].shape
-            self.biases[layer][:] = 0.0
-            nnz = int(idx.degrees.sum())
+        for idx in self._index:
+            nnz = idx.size - idx.n
+            seg = idx.seg(self.theta)
+            seg[:] = 0.0
             if nnz == 0:
                 continue
-            fan_in = nnz / n
-            fan_out = nnz / m
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            values = _values(self.weights[layer])
-            values[:] = rng.uniform(-a, a, size=values.shape)
+            a = np.sqrt(6.0 / (nnz / idx.n + nnz / idx.m))
+            draws = rng.uniform(-a, a, size=nnz)  # one per connection, in block order
+            seg[:] = np.insert(draws, idx.indptr[:-1] - np.arange(idx.n), 0.0)
         self.version += 1
 
     # -- forward / backward ----------------------------------------------------
@@ -303,31 +302,33 @@ class Network:
         drop = self.dropout if mode == "train" else 0.0
         if drop > 0.0 and rng is None:
             raise ValueError("dropout in train mode needs an rng")
-        a = x
-        activations = [x]
+        b = x.shape[0]
+        a = _with_ones(b, self.sizes[0])
+        a[:, 1:] = x
+        inputs = [a]
         pre, hidden, masks = [], [], []
-        for layer in range(self.n_layers):
-            z = a @ self.weights[layer].T + self.biases[layer]
+        for layer, P in enumerate(self.layers):
+            z = (P @ a.T).T  # a @ P.T
             pre.append(z)
             if layer == self.n_layers - 1:
                 break  # linear output layer
-            h = _act(self.activation, z)
-            hidden.append(h)
+            a = _with_ones(b, z.shape[1])
             if drop > 0.0:
+                h = _act(self.activation, z)
                 keep = rng.random(h.shape) >= drop
-                # In h's memory order: the CSR product of a masked layer
-                # leaves z and h column-major, and keeping the mask, the
-                # activities and the deltas in that order spares a transpose
-                # copy in each later sparse product and elementwise step.
+                # In h's memory order, column-major like z and a: keeping
+                # the mask, the activities and the deltas in one order spares
+                # a transpose copy in each later product and elementwise step.
                 mask = np.empty_like(h)
                 np.divide(keep, 1.0 - drop, out=mask)  # inverted dropout
-                a = h * mask
+                np.multiply(h, mask, out=a[:, 1:])
                 masks.append(mask)
             else:
-                a = h
+                h = _act(self.activation, z, out=a[:, 1:])
                 masks.append(None)
-            activations.append(a)
-        return ForwardTrace(activations, pre, hidden, masks, self.version, single)
+            hidden.append(h)
+            inputs.append(a)
+        return ForwardTrace(inputs, pre, hidden, masks, self.version, single)
 
     def backprop_deltas(self, trace: ForwardTrace, output_grad) -> list:
         """Per-layer pre-activation sensitivities for an output seed.
@@ -345,10 +346,12 @@ class Network:
         deltas[-1] = g
         d = g
         for layer in range(self.n_layers - 1, 0, -1):
-            d = d @ self.weights[layer]
+            # d @ P, a fresh array, so the products below work in place;
+            # column 0 is the bias
+            d = (self._layers_t[layer] @ d.T).T[:, 1:]
             if trace.masks[layer - 1] is not None:
-                d = d * trace.masks[layer - 1]
-            d = d * _act_deriv(
+                d *= trace.masks[layer - 1]
+            d *= _act_deriv(
                 self.activation, trace.pre_activations[layer - 1], trace.hidden[layer - 1]
             )
             deltas[layer - 1] = d
@@ -357,16 +360,13 @@ class Network:
     def grad_from_deltas(self, trace: ForwardTrace, deltas) -> ParamVector:
         """Flat gradient, summed over the batch."""
         grad = np.empty(self.layout.dim)
-        for layer, idx in enumerate(self._index):
-            d = deltas[layer]
-            a = trace.activations[layer]
+        for idx, d, a in zip(self._index, deltas, trace.inputs):
             if idx.dense:
-                idx.pack_into(grad, d.sum(axis=0), d.T @ a)
+                np.matmul(d.T, a, out=idx.matrix(grad))
                 continue
-            grad_w = np.empty(idx.indices.size)
+            seg = idx.seg(grad)
             for span, D, A in idx.sampled_chunks(d, a):
-                np.einsum("ij,ij->i", D, A, out=grad_w[span])
-            idx.pack_into(grad, d.sum(axis=0), grad_w)
+                np.einsum("ij,ij->i", D, A, out=seg[span])
         return grad
 
     def backprop(self, trace: ForwardTrace, output_grad) -> ParamVector:
@@ -385,37 +385,35 @@ class Network:
         where v_s is the per-sample gradient implied by (trace, deltas).
         row is None in diagonal mode.
         """
-        b = trace.activations[0].shape[0]
+        b = trace.inputs[0].shape[0]
         w = np.asarray(sample_weights, dtype=float)
         if w.ndim == 0:
             w = np.full(b, float(w))
         diag = np.empty(self.layout.dim)
         row = np.empty(self.layout.dim) if quasi else None
-        for layer, idx in enumerate(self._index):
-            d2w = w[:, None] * deltas[layer] ** 2  # (B, n)
-            a = trace.activations[layer]
+        for idx, d, a in zip(self._index, deltas, trace.inputs):
+            d2w = w[:, None] * d**2  # (B, n)
             if idx.dense:
-                idx.pack_into(diag, d2w.sum(axis=0), d2w.T @ (a * a))
+                np.matmul(d2w.T, a * a, out=idx.matrix(diag))
                 if quasi:
-                    idx.pack_into(row, 0.0, d2w.T @ a)
-                continue
-            diag_w = np.empty(idx.indices.size)
-            row_w = np.empty(idx.indices.size) if quasi else None
-            for span, D, A in idx.sampled_chunks(d2w, a):
-                if quasi:
-                    np.einsum("ij,ij->i", D, A, out=row_w[span])
-                A *= A
-                np.einsum("ij,ij->i", D, A, out=diag_w[span])
-            idx.pack_into(diag, d2w.sum(axis=0), diag_w)
+                    np.matmul(d2w.T, a, out=idx.matrix(row))
+            else:
+                diag_seg = idx.seg(diag)
+                row_seg = idx.seg(row) if quasi else None
+                for span, D, A in idx.sampled_chunks(d2w, a):
+                    if quasi:
+                        np.einsum("ij,ij->i", D, A, out=row_seg[span])
+                    A *= A
+                    np.einsum("ij,ij->i", D, A, out=diag_seg[span])
             if quasi:
-                idx.pack_into(row, 0.0, row_w)
+                idx.seg(row)[idx.indptr[:-1]] = 0.0  # a bias has no row entry with itself
         return diag, row
 
     # -- misc --------------------------------------------------------------------
 
     def copy(self) -> "Network":
         dup = Network(self.sizes, self.activation, masks=self.masks, dropout=self.dropout)
-        dup.set_params(self.get_params())
+        dup.set_params(self.theta)
         return dup
 
     @property
@@ -428,6 +426,26 @@ class Network:
 # ---------------------------------------------------------------------------
 
 
+def _input_change(net, activation, scale, offset, rho):
+    """Parameters for affine changes of each layer's inputs and outputs.
+
+    Layer l sees inputs s = scale[l] * t + offset[l] in terms of new
+    inputs t, and its new pre-activation is rho[l] times the old one. So
+    its weights become rho * scale * W and its bias absorbs the offset,
+    rho * (b + offset * sum_i W_i); the masks stay the same.
+    """
+    out = Network(net.sizes, activation, masks=net.masks, dropout=net.dropout)
+    for layer, idx in enumerate(net._index):
+        src, dst = idx.seg(net.theta), idx.seg(out.theta)
+        bias = idx.indptr[:-1]
+        incoming = src.copy()
+        incoming[bias] = 0.0
+        dst[:] = rho[layer] * scale[layer] * src
+        dst[bias] = rho[layer] * (src[bias] + offset[layer] * np.add.reduceat(incoming, bias))
+    out.version += 1
+    return out
+
+
 def to_tanh_equivalent(net: Network) -> Network:
     """Map a sigmoid net to the tanh net computing the same function.
 
@@ -437,19 +455,12 @@ def to_tanh_equivalent(net: Network) -> Network:
     """
     if net.activation != "sigmoid":
         raise ValueError("source network must use sigmoid activations")
-    out = Network(net.sizes, "tanh", masks=net.masks, dropout=net.dropout)
-    for layer in range(net.n_layers):
-        w = net.weights[layer]
-        b = net.biases[layer]
-        rho = 1.0 if layer == net.n_layers - 1 else 0.5  # own pre-activation scale
-        if layer == 0:
-            scale_in, offset_in = 1.0, 0.0  # raw inputs are not reparameterized
-        else:
-            scale_in, offset_in = 0.5, 0.5  # s = (t + 1) / 2
-        out.weights[layer] = rho * scale_in * w  # keeps a masked layer's CSR structure
-        out.biases[layer][:] = rho * (b + offset_in * w.sum(axis=1))
-    out.version += 1
-    return out
+    hidden = net.n_layers - 1
+    # raw inputs are not reparameterized; hidden ones are s = (t + 1) / 2
+    scale = [1.0] + [0.5] * hidden
+    offset = [0.0] + [0.5] * hidden
+    rho = [0.5] * hidden + [1.0]  # own pre-activation scale; the output stays
+    return _input_change(net, "tanh", scale, offset, rho)
 
 
 def to_inverted_inputs(net: Network) -> Network:
@@ -458,11 +469,9 @@ def to_inverted_inputs(net: Network) -> Network:
     First-layer weights flip sign and the bias absorbs their sum, so that
     b' + sum_i w'_i (1 - x_i) = b + sum_i w_i x_i.
     """
-    out = net.copy()
-    out.biases[0][:] = net.biases[0] + net.weights[0].sum(axis=1)
-    out.weights[0] = -net.weights[0]
-    out.version += 1
-    return out
+    rest = [1.0] * (net.n_layers - 1)
+    return _input_change(net, net.activation, [-1.0] + rest, [1.0] + [0.0] * len(rest),
+                         [1.0] + rest)
 
 
 # ---------------------------------------------------------------------------

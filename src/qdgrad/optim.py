@@ -26,8 +26,6 @@ __all__ = [
     "OptimizerState",
     "StepReport",
     "DivergenceError",
-    "step_sgd",
-    "step_adagrad",
     "optimizer_step",
     "metric_warmup",
 ]
@@ -87,27 +85,6 @@ class StepReport:
     step_norm: float
 
 
-def step_sgd(params, grad_mean, eta) -> None:
-    """In-place vanilla descent step on a flat parameter array."""
-    params -= eta * grad_mean
-
-
-def step_adagrad(params, grad_mean, state, cfg, grad_sq_mean=None) -> None:
-    """RMSProp-style adaptive step sharing the decayed accumulator of dop.
-
-    grad_sq_mean is the minibatch mean of per-sample squared gradients;
-    when omitted (single-sample streams) it falls back to grad_mean**2.
-    """
-    if grad_sq_mean is None:
-        grad_sq_mean = grad_mean * grad_mean
-    m = state.metric
-    gamma_t = cfg.gamma if m.initialized else 1.0
-    m.decay(gamma_t)
-    m.add_terms(grad_sq_mean, None, gamma_t)
-    m.initialized = True
-    params -= cfg.eta * grad_mean / np.sqrt(m.diag + cfg.epsilon)
-
-
 def _metric_batch(net, model, trace, grad_deltas, cfg, rng):
     """Minibatch-averaged metric contribution (diag, row) for cfg.algo."""
     y = trace.pre_activations[-1]
@@ -138,9 +115,10 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
     """One minibatch update; raises DivergenceError instead of writing NaNs.
 
     Order of operations: forward and backprop under the current parameters,
-    then metric decay and accumulation, then preconditioning, then the
-    parameter write. Learned output variances take a plain SGD step with
-    the same eta after the main update.
+    then the candidate metric and the preconditioned direction, then the
+    finiteness check, and only then the writes: parameters, metric, learned
+    output variances (a plain SGD step with the same eta) and the step
+    count. A step that raises leaves all of them as they were.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     b = inputs.shape[0]
@@ -153,28 +131,23 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         grad_mean = net.grad_from_deltas(trace, grad_deltas) / b
 
         theta = net.get_params()
+        metric = None
         if cfg.algo == "sgd":
             direction = grad_mean
-        elif cfg.algo == "adagrad":
-            diag, _ = _metric_batch(net, model, trace, grad_deltas, cfg, rng)
-            m = state.metric
-            gamma_t = cfg.gamma if m.initialized else 1.0
-            m.decay(gamma_t)
-            m.add_terms(diag, None, gamma_t)
-            m.initialized = True
-            direction = grad_mean / np.sqrt(m.diag + cfg.epsilon)
         else:
             diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng)
-            m = state.metric
-            gamma_t = cfg.gamma if m.initialized else 1.0
-            m.decay(gamma_t)
-            m.add_terms(diag, row, gamma_t)
-            m.initialized = True
-            direction = m.solve(grad_mean, cfg.epsilon)
+            metric = state.metric.updated(diag, row, cfg.gamma)
+            if cfg.algo == "adagrad":
+                direction = grad_mean / np.sqrt(metric.diag + cfg.epsilon)
+            else:
+                direction = metric.solve(grad_mean, cfg.epsilon)
 
     if not (np.isfinite(loss) and np.isfinite(direction).all()):
         raise DivergenceError("non-finite loss or update direction", eta=cfg.eta)
-    net.set_params(theta - cfg.eta * direction)
+    theta -= cfg.eta * direction
+    net.set_params(theta)
+    if metric is not None:
+        state.metric.assign(metric)
     if getattr(model, "learn_variance", False):
         vgrad = model.variance_grad(y, targets).mean(axis=0)
         model.variance_step(vgrad, cfg.eta)
@@ -197,7 +170,4 @@ def metric_warmup(net, model, inputs, targets, state, cfg, rng=None) -> None:
     y = trace.pre_activations[-1]
     grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
     diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng)
-    m = state.metric
-    m.decay(1.0)
-    m.add_terms(diag, row, 1.0)
-    m.initialized = True
+    state.metric.assign(state.metric.updated(diag, row, 1.0))

@@ -288,7 +288,7 @@ def rescaling_trajectory_gaps(seed=0, c=10.0, steps=10, eta=0.05) -> dict:
     for algo in ("dop", "adagrad"):
         a = net.copy()
         b = net.copy()
-        b.weights[0][:] /= c
+        b.layers[0][:, 1:] /= c  # first-layer weights, in place in theta
         b.version += 1
         cfg = OptimizerConfig(algo, eta=eta, epsilon=0.0)
         st_a, st_b = OptimizerState(a, cfg), OptimizerState(b, cfg)
@@ -297,7 +297,7 @@ def rescaling_trajectory_gaps(seed=0, c=10.0, steps=10, eta=0.05) -> dict:
             optimizer_step(a, model, X, T, st_a, cfg)
             optimizer_step(b, model, c * X, T, st_b, cfg)
             mapped = b.copy()
-            mapped.weights[0][:] *= c
+            mapped.layers[0][:, 1:] *= c
             mapped.version += 1
             pa, pb = a.get_params(), mapped.get_params()
             worst = max(worst, float(np.max(np.abs(pa - pb)

@@ -95,6 +95,18 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "diverged=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["train", "grid", "bench"])
+@pytest.mark.parametrize("extra, message", [
+    (["--sparsity", "-1"], "fan_in must be at least 1, got -1"),
+    (["--output", "categorical"], "categorical output needs class targets"),
+])
+def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, message):
+    # status 2 with the message, not a traceback; status 1 means "diverged"
+    rc = main([command, *eeg_args(tmp_path, *extra)[1:]])
+    assert rc == 2
+    assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
+
+
 def test_config_file_supplies_options(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -11,7 +11,6 @@ from qdgrad.data import (
     load_csv,
     load_idx,
     minibatches,
-    rgb_to_grayscale,
     split_last,
     write_csv,
     write_idx_images,
@@ -228,15 +227,6 @@ def test_self_targets_track_transformed_features():
 # ---------------------------------------------------------------------------
 # Misc
 # ---------------------------------------------------------------------------
-
-
-def test_rgb_to_grayscale_weights():
-    np.testing.assert_allclose(rgb_to_grayscale([1.0, 0.0, 0.0]), 0.299)
-    np.testing.assert_allclose(rgb_to_grayscale([1.0, 1.0, 1.0]), 1.0)
-    batch = rgb_to_grayscale(np.ones((5, 4, 3)))
-    assert batch.shape == (5, 4)
-    with pytest.raises(ValueError):
-        rgb_to_grayscale(np.ones((5, 4)))
 
 
 def test_dataset_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgrad.metric import BlockLayout, MetricConfig, MetricError, QDMetric, qd_reduce
+from qdgrad.metric import BlockLayout, MetricError, QDMetric, qd_reduce
 
 # ---------------------------------------------------------------------------
 # Oracles. The library never builds dense matrices; these do.
@@ -63,16 +63,6 @@ def test_layout_rejects_bad_lengths():
 def test_layout_groups_merge_equal_runs():
     layout = BlockLayout(np.array([3, 3, 2, 2, 2, 5]))
     assert layout.groups() == [(0, 2, 3), (6, 3, 2), (12, 1, 5)]
-
-
-def test_metric_config_validation():
-    MetricConfig(gamma=1.0, epsilon=0.0)
-    with pytest.raises(MetricError):
-        MetricConfig(gamma=0.0)
-    with pytest.raises(MetricError):
-        MetricConfig(gamma=1.5)
-    with pytest.raises(MetricError):
-        MetricConfig(epsilon=-1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +316,3 @@ def test_diag_mode_never_writes_row():
         m.decay(0.3)
         m.rank_one_update(rng.standard_normal(layout.dim), 1.0)
     assert np.all(m.row == 0.0)
-
-
-def test_dump_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    m = random_qd_metric(rng, [3, 2])
-    path = tmp_path / "metric.csv"
-    m.dump_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    first = np.array([float(x) for x in lines[0].split(",")])
-    sl = m.layout.block_slice(0)
-    np.testing.assert_array_equal(first, np.concatenate([m.diag[sl], m.row[sl]]))

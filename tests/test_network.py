@@ -106,7 +106,8 @@ def test_forward_matches_loop_oracle(activation):
     for _ in range(5):
         x = rng.standard_normal(5)
         y = net.forward(x, mode="eval").output
-        ref = loop_forward(sizes, activation, net.weights, net.biases, x)
+        ref = loop_forward(sizes, activation, [P[:, 1:] for P in net.layers],
+                           [P[:, 0] for P in net.layers], x)
         np.testing.assert_allclose(y, ref, atol=1e-12)
 
 
@@ -154,8 +155,8 @@ def test_pack_unpack_round_trip_dense():
 
 def test_block_order_is_bias_then_weights():
     net = Network([2, 2], "sigmoid")
-    net.biases[0][:] = [10.0, 20.0]
-    net.weights[0][:] = [[1.0, 2.0], [3.0, 4.0]]
+    net.layers[0][:, 0] = [10.0, 20.0]
+    net.layers[0][:, 1:] = [[1.0, 2.0], [3.0, 4.0]]
     np.testing.assert_array_equal(net.get_params(), [10, 1, 2, 20, 3, 4])
 
 
@@ -167,8 +168,8 @@ def test_pack_unpack_round_trip_masked():
     theta = rng.standard_normal(net.layout.dim)
     net.set_params(theta)
     np.testing.assert_array_equal(net.get_params(), theta)
-    # masked-out entries of the dense weight matrix stay exactly zero
-    assert np.all(net.weights[0][~masks[0]] == 0.0)
+    # masked-out entries of the layer's [b|W] matrix stay exactly zero
+    assert np.all(net.layers[0].toarray()[:, 1:][~masks[0]] == 0.0)
 
 
 def test_sparse_layout_counts_and_output_dense():
@@ -237,8 +238,8 @@ def test_init_zero_biases_and_uniform_scale():
     rng = np.random.default_rng(12)
     net = Network([100, 100], "sigmoid")
     net.init_params(rng)
-    assert np.all(net.biases[0] == 0.0)
-    w = net.weights[0].ravel()
+    assert np.all(net.layers[0][:, 0] == 0.0)
+    w = net.layers[0][:, 1:].ravel()
     a = math.sqrt(6.0 / (100 + 100))
     assert np.abs(w).max() <= a
     assert abs(w.var() - a * a / 3.0) < 0.1 * a * a / 3.0  # 1e4 draws, 10% slack
@@ -252,10 +253,12 @@ def test_init_sparse_uses_effective_fans():
     net.init_params(rng)
     nnz = 40 * 5
     a = math.sqrt(6.0 / (nnz / 40 + nnz / 50))
-    vals = net.weights[0][masks[0]]
+    bw = net.layers[0].toarray()
+    assert np.all(bw[:, 0] == 0.0)
+    vals = bw[:, 1:][masks[0]]
     assert np.abs(vals).max() <= a
     assert np.abs(vals).max() > 0.8 * a  # 200 draws should come close to the bound
-    assert np.all(net.weights[0][~masks[0]] == 0.0)
+    assert np.all(bw[:, 1:][~masks[0]] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +374,15 @@ def dense_reference(net, x, drop_masks, output_grad, sample_weights):
     Flat vectors are assembled unit by unit from the dense per-layer
     products, keeping only each unit's connected sources.
     """
-    weights = [w.toarray() if isinstance(w, csr_array) else w for w in net.weights]
+    bw = [P.toarray() if isinstance(P, csr_array) else P for P in net.layers]
+    weights, biases = [P[:, 1:] for P in bw], [P[:, 0] for P in bw]
     conn = [np.ones(w.shape, dtype=bool) if m is None else m
             for w, m in zip(weights, net.masks)]
     act = {"sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)), "tanh": np.tanh,
            "relu": lambda z: np.maximum(z, 0.0)}[net.activation]
     acts, pre = [x], []
     for layer, w in enumerate(weights):
-        pre.append(acts[-1] @ w.T + net.biases[layer])
+        pre.append(acts[-1] @ w.T + biases[layer])
         if layer < net.n_layers - 1:
             h = act(pre[-1])
             acts.append(h if drop_masks[layer] is None else h * drop_masks[layer])
@@ -483,7 +487,7 @@ def test_dropout_mask_values_and_scaling():
     assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 0.75, 12)}
     kept = (mask > 0).mean()
     assert abs(kept - 0.75) < 0.1
-    np.testing.assert_allclose(tr.activations[1], tr.hidden[0] * mask)
+    np.testing.assert_allclose(tr.inputs[1][:, 1:], tr.hidden[0] * mask)  # [1|a]
 
 
 def test_dropout_gradients_use_the_sampled_mask():

@@ -12,8 +12,6 @@ from qdgrad.optim import (
     OptimizerState,
     metric_warmup,
     optimizer_step,
-    step_adagrad,
-    step_sgd,
 )
 from qdgrad.outputs import CategoricalOutput, GaussianOutput
 
@@ -23,6 +21,17 @@ def bias_only_net(theta0):
     net = Network([0, 1], "sigmoid")
     net.set_params(np.array([theta0]))
     return net
+
+
+def bias_only_step(net, state, cfg, grad):
+    """optimizer_step on a bias-only net, with targets that make its gradient grad.
+
+    Under a unit-variance Gaussian output the loss gradient of one sample
+    is theta - t, so t = theta - grad.
+    """
+    theta = net.get_params()
+    model = GaussianOutput(theta.size)
+    optimizer_step(net, model, np.zeros((1, 0)), (theta - grad)[None, :], state, cfg)
 
 
 def random_problem(rng, sizes, k, activation="sigmoid", batch=6):
@@ -40,39 +49,41 @@ def random_problem(rng, sizes, k, activation="sigmoid", batch=6):
 
 
 def test_sgd_frozen_values():
-    theta = np.array([1.0, 5.0])
-    step_sgd(theta, np.array([2.0, 0.0]), 0.1)
-    np.testing.assert_array_equal(theta, [0.8, 5.0])
+    net = Network([0, 2], "sigmoid")
+    net.set_params(np.array([1.0, 5.0]))
+    cfg = OptimizerConfig("sgd", eta=0.1)
+    bias_only_step(net, OptimizerState(net, cfg), cfg, np.array([2.0, 0.0]))
+    np.testing.assert_array_equal(net.get_params(), [0.8, 5.0])
 
 
 def test_sgd_quadratic_contracts_by_one_minus_eta():
     # f = theta^2 / 2 so grad = theta and the recursion is exact
-    theta = np.array([0.7])
+    net = bias_only_net(0.7)
+    cfg = OptimizerConfig("sgd", eta=0.2)
+    state = OptimizerState(net, cfg)
     for _ in range(10):
-        step_sgd(theta, theta.copy(), 0.2)
-    np.testing.assert_allclose(theta, [0.7 * 0.8**10], rtol=1e-15)
+        bias_only_step(net, state, cfg, net.get_params())
+    np.testing.assert_allclose(net.get_params(), [0.7 * 0.8**10], rtol=1e-15)
 
 
 def test_adagrad_first_step_is_sign_like():
     net = Network([0, 2], "sigmoid")
+    net.set_params(np.array([1.0, 1.0]))
     cfg = OptimizerConfig("adagrad", eta=0.1, epsilon=1e-8)
     state = OptimizerState(net, cfg)
-    theta = np.array([1.0, 1.0])
-    step_adagrad(theta, np.array([3.0, -0.5]), state, cfg)
-    np.testing.assert_allclose(theta, [1.0 - 0.1, 1.0 + 0.1], atol=1e-8)
+    bias_only_step(net, state, cfg, np.array([3.0, -0.5]))
+    np.testing.assert_allclose(net.get_params(), [1.0 - 0.1, 1.0 + 0.1], atol=1e-8)
 
 
 def test_adagrad_constant_gradient_step_approaches_eta():
-    net = Network([0, 1], "sigmoid")
+    net = bias_only_net(100.0)
     cfg = OptimizerConfig("adagrad", eta=0.05, gamma=0.01, epsilon=1e-8)
     state = OptimizerState(net, cfg)
     g = np.array([2.0])
-    theta = np.array([100.0])
-    prev = theta.copy()
     for _ in range(3000):
-        prev = theta.copy()
-        step_adagrad(theta, g, state, cfg)
-    assert abs((prev - theta)[0] - 0.05) < 1e-4 * 0.05
+        prev = net.get_params()
+        bias_only_step(net, state, cfg, g)
+    assert abs((prev - net.get_params())[0] - 0.05) < 1e-4 * 0.05
 
 
 def test_adagrad_accumulator_bitwise_identical_to_dop():
@@ -287,16 +298,31 @@ def test_step_report_fields():
 
 
 def test_divergence_raises_and_leaves_params_untouched():
-    net = Network([1, 1], "sigmoid")
-    net.set_params(np.array([1e200, 0.0]))
-    model = GaussianOutput(1)
-    cfg = OptimizerConfig("sgd", eta=0.1)
-    state = OptimizerState(net, cfg)
-    before = net.get_params()
-    with pytest.raises(DivergenceError) as exc:
-        optimizer_step(net, model, np.array([[1.0]]), np.array([[0.0]]), state, cfg)
-    assert exc.value.eta == 0.1
-    np.testing.assert_array_equal(net.get_params(), before)
+    # a step that raises leaves theta, the metric, t and learned variances as they were
+    X, T = np.array([[1.0]]), np.array([[0.0]])
+    for algo in ALGOS:
+        net = Network([1, 1], "sigmoid")
+        net.set_params(np.array([0.1, 0.2]))
+        model = GaussianOutput(1, sigma=0.5, learn_variance=True)
+        cfg = OptimizerConfig(algo, eta=0.1)
+        state = OptimizerState(net, cfg)
+        rng = np.random.default_rng(0)
+        optimizer_step(net, model, X, T, state, cfg, rng)  # warms the metric
+        net.set_params(np.array([1e200, 0.0]))  # the next loss overflows
+        theta, log_sigma, t = net.get_params(), model.log_sigma.copy(), state.t
+        metric = None if state.metric is None else state.metric.copy()
+        with pytest.raises(DivergenceError) as exc:
+            optimizer_step(net, model, X, T, state, cfg, rng)
+        assert exc.value.eta == 0.1
+        np.testing.assert_array_equal(net.get_params(), theta, err_msg=algo)
+        np.testing.assert_array_equal(model.log_sigma, log_sigma, err_msg=algo)
+        assert state.t == t == 1, algo
+        if metric is None:
+            assert state.metric is None, algo
+            continue
+        np.testing.assert_array_equal(state.metric.diag, metric.diag, err_msg=algo)
+        np.testing.assert_array_equal(state.metric.row, metric.row, err_msg=algo)
+        assert state.metric.initialized is metric.initialized is True, algo
 
 
 def test_learned_variance_takes_sgd_step():
@@ -336,7 +362,7 @@ def rescaled_problem(rng, c, j):
     sizes = [4, 5, 3]
     net, model, X, T = random_problem(rng, sizes, 3, batch=8)
     net_s = net.copy()
-    net_s.weights[0][:, j] /= c
+    net_s.layers[0][:, 1 + j] /= c  # column 0 is the bias
     net_s.version += 1
     X_s = X.copy()
     X_s[:, j] *= c
@@ -345,7 +371,7 @@ def rescaled_problem(rng, c, j):
 
 def map_back(net_s, c, j):
     theta = net_s.copy()
-    theta.weights[0][:, j] *= c
+    theta.layers[0][:, 1 + j] *= c
     theta.version += 1
     return theta.get_params()
 

@@ -1,0 +1,52 @@
+"""The benchmark's tracer still finds what it wraps.
+
+perfbench/tracing.py replaces public calls of the library by name. A rename
+there would break only a traced benchmark run, which the test suite never
+starts, so these tests load the tracer by file path and check its targets.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from qdgrad.network import Network
+from qdgrad.optim import OptimizerConfig, OptimizerState, optimizer_step
+from qdgrad.outputs import CategoricalOutput
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_exists():
+    tracing = load_tracing()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracing.targets() if attr not in vars(owner)]
+    assert missing == []
+
+
+def test_a_traced_step_records_the_metric_path():
+    # optim.metric_share reads the span from get_params to set_params
+    tracing = load_tracing()
+    rng = np.random.default_rng(0)
+    net = Network([3, 4, 2], "sigmoid")
+    net.init_params(rng)
+    cfg = OptimizerConfig("qdop", eta=0.1)
+    state = OptimizerState(net, cfg)
+    rec = tracing.SpanRecorder()
+    with tracing.Tracer(rec):
+        optimizer_step(net, CategoricalOutput(2), rng.uniform(size=(5, 3)),
+                       rng.integers(0, 2, size=5), state, cfg)
+    order = [rec.names[i] for i in rec.arrays()["name"]]
+    for name in ("network.get_params", "metric.decay", "metric.add_terms",
+                 "metric.solve", "network.set_params"):
+        assert name in order
+    assert order.index("network.get_params") < order.index("metric.decay")
+    assert order.index("metric.solve") < order.index("network.set_params")
+    assert not hasattr(Network.get_params, "__wrapped__")  # restored on exit

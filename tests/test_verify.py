@@ -113,7 +113,7 @@ def test_one_step_invariances_hold_on_a_masked_net():
     rng = np.random.default_rng(0)
     sizes = [6, 5, 4, 3]
     base = Network(sizes, "sigmoid", masks=make_sparse_layout(sizes, 3, rng))
-    assert [isinstance(w, csr_array) for w in base.weights] == [True, True, False]
+    assert [isinstance(P, csr_array) for P in base.layers] == [True, True, False]
     base.init_params(rng)
     base.set_params(0.8 * rng.standard_normal(base.layout.dim))
     X = rng.uniform(0.0, 1.0, size=(40, 6))
