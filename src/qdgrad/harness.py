@@ -171,6 +171,13 @@ def _build(ds: Dataset, config: RunConfig):
     return net, model, state, cfg, rng
 
 
+def _epoch(ds: Dataset, batch_size, net, model, state, cfg, rng) -> None:
+    """One pass of minibatch steps over the training rows, in a shuffled order."""
+    for batch in minibatches(ds, batch_size, rng):
+        optimizer_step(net, model, ds.features[batch], ds.target_batch(batch),
+                       state, cfg, rng)
+
+
 def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
     """Epochs of minibatch steps with per-epoch evaluation rows.
 
@@ -198,9 +205,7 @@ def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
                 continue
             t0 = time.perf_counter()
             try:
-                for batch in minibatches(ds, config.batch_size, rng):
-                    optimizer_step(net, model, ds.features[batch],
-                                   ds.target_batch(batch), state, cfg, rng)
+                _epoch(ds, config.batch_size, net, model, state, cfg, rng)
             except DivergenceError:
                 diverged_at = epoch
                 log.append(LogRow(epoch, math.nan, math.nan, math.nan, math.nan,
@@ -315,9 +320,7 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
         times = []
         for _ in range(epochs):
             t0 = time.perf_counter()
-            for batch in minibatches(ds, sub.batch_size, rng):
-                optimizer_step(net, model, ds.features[batch],
-                               ds.target_batch(batch), state, cfg, rng)
+            _epoch(ds, sub.batch_size, net, model, state, cfg, rng)
             times.append(time.perf_counter() - t0)
         medians[algo] = float(np.median(times))
     ratios = {algo: medians[algo] / medians["sgd"] for algo in algos}

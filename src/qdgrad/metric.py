@@ -38,6 +38,7 @@ class BlockLayout:
     lengths: np.ndarray
     starts: np.ndarray = field(init=False)
     dim: int = field(init=False)
+    _groups: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=np.int64)
@@ -46,9 +47,13 @@ class BlockLayout:
         if np.any(lengths < 1):
             raise MetricError("block lengths must be >= 1")
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        first = np.flatnonzero(np.diff(lengths, prepend=0))  # first block of each run
+        counts = np.diff(first, append=lengths.size)
+        groups = list(zip(starts[first].tolist(), counts.tolist(), lengths[first].tolist()))
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "dim", int(lengths.sum()))
+        object.__setattr__(self, "_groups", groups)
 
     @property
     def n_blocks(self) -> int:
@@ -64,17 +69,7 @@ class BlockLayout:
         Lets the solver reshape each run to a (count, length) matrix and work
         on whole layers at once instead of looping over units.
         """
-        out = []
-        k = 0
-        n = self.n_blocks
-        while k < n:
-            length = int(self.lengths[k])
-            j = k
-            while j < n and int(self.lengths[j]) == length:
-                j += 1
-            out.append((int(self.starts[k]), j - k, length))
-            k = j
-        return out
+        return self._groups
 
     def __eq__(self, other):
         return isinstance(other, BlockLayout) and np.array_equal(

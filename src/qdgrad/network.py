@@ -18,11 +18,13 @@ models apply their own link function.
 Besides the plain gradient, backprop exposes the per-layer delta matrices
 so the optimizer can accumulate quasi-diagonal metric terms for a whole
 minibatch with matrix products: for units of one layer, with per-sample
-deltas d (B, n), layer inputs [1|a] (B, 1+m) and sample weights w,
+deltas d (B, n) and layer inputs [1|a] (B, 1+m),
 
-    gradient = d^T [1|a],  diag = (w d^2)^T [1|a^2],  row = (w d^2)^T [1|a]
+    gradient = d^T [1|a],  diag = q^T [1|a^2],  row = q^T [1|a]
 
-with each unit's bias entry of row set to zero. All three have the shape
+with each unit's bias entry of row set to zero. q (B, n) is the sum of
+w_c d_c^2 over the metric's output seeds c with sample weights w_c, so
+any number of seeds costs one pair of products. All three have the shape
 of P and are written straight into the layer's segment of a theta-shaped
 vector, so no per-sample gradient is ever materialized. For a masked layer
 they are these products sampled at the stored entries only:
@@ -377,30 +379,28 @@ class Network:
         """
         return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
-    def qd_batch_terms(self, trace: ForwardTrace, deltas, sample_weights, quasi=True):
-        """Weighted sums of per-sample squared gradients and bias-row products.
+    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True):
+        """Metric terms from per-layer summed weighted squared deltas.
 
-        Returns flat (diag, row) with
-            diag = sum_s w_s v_s**2,  row_i = sum_s w_s v_s0 v_si,
-        where v_s is the per-sample gradient implied by (trace, deltas).
-        row is None in diagonal mode.
+        sq_deltas[l] is the (B, sizes[l+1]) array sum_c w_c d_c**2 over
+        output seeds c, where d_c are the deltas backprop gives for seed c
+        and w_c its scalar or per-sample weight. Returns flat (diag, row)
+        with
+            diag = sum_s,c w_sc v_sc**2,  row_i = sum_s,c w_sc v_sc0 v_sci,
+        where v_sc is the per-sample gradient for seed c. row is None in
+        diagonal mode.
         """
-        b = trace.inputs[0].shape[0]
-        w = np.asarray(sample_weights, dtype=float)
-        if w.ndim == 0:
-            w = np.full(b, float(w))
         diag = np.empty(self.layout.dim)
         row = np.empty(self.layout.dim) if quasi else None
-        for idx, d, a in zip(self._index, deltas, trace.inputs):
-            d2w = w[:, None] * d**2  # (B, n)
+        for idx, q, a in zip(self._index, sq_deltas, trace.inputs):
             if idx.dense:
-                np.matmul(d2w.T, a * a, out=idx.matrix(diag))
+                np.matmul(q.T, a * a, out=idx.matrix(diag))
                 if quasi:
-                    np.matmul(d2w.T, a, out=idx.matrix(row))
+                    np.matmul(q.T, a, out=idx.matrix(row))
             else:
                 diag_seg = idx.seg(diag)
                 row_seg = idx.seg(row) if quasi else None
-                for span, D, A in idx.sampled_chunks(d2w, a):
+                for span, D, A in idx.sampled_chunks(q, a):
                     if quasi:
                         np.einsum("ij,ij->i", D, A, out=row_seg[span])
                     A *= A

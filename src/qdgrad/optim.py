@@ -86,29 +86,34 @@ class StepReport:
 
 
 def _metric_batch(net, model, trace, grad_deltas, cfg, rng):
-    """Minibatch-averaged metric contribution (diag, row) for cfg.algo."""
+    """Minibatch-averaged metric contribution (diag, row) for cfg.algo.
+
+    Each algorithm lists its (deltas, weight) terms, a weight being a scalar
+    or one per sample. The metric depends on the terms only through the sum
+    of weight * deltas**2 per layer, so that sum is formed first and the
+    activation products run once, however many terms there are.
+    """
     y = trace.pre_activations[-1]
     b = y.shape[0]
     if cfg.algo in ("adagrad", "dop", "qdop"):
-        return net.qd_batch_terms(trace, grad_deltas, 1.0 / b, quasi=cfg.quasi)
-    diag = np.zeros(net.layout.dim)
-    row = np.zeros(net.layout.dim) if cfg.quasi else None
-    if cfg.algo in ("dmcnat", "qdmcnat"):
-        for _ in range(cfg.n_mc):
+        terms = [(grad_deltas, 1.0 / b)]
+    elif cfg.algo in ("dmcnat", "qdmcnat"):
+        def draw():
             pseudo = model.sample_pseudo_target(y, rng)
-            deltas = net.backprop_deltas(trace, model.loss_output_grad(y, pseudo))
-            d, r = net.qd_batch_terms(trace, deltas, 1.0 / (b * cfg.n_mc), quasi=cfg.quasi)
-            diag += d
-            if cfg.quasi:
-                row += r
+            return net.backprop_deltas(trace, model.loss_output_grad(y, pseudo))
+        terms = ((draw(), 1.0 / (b * cfg.n_mc)) for _ in range(cfg.n_mc))
     else:  # dnat, qdnat
-        for term in model.enumerate_fisher_terms(y):
-            deltas = net.backprop_deltas(trace, term.seed)
-            d, r = net.qd_batch_terms(trace, deltas, term.weight / b, quasi=cfg.quasi)
-            diag += d
-            if cfg.quasi:
-                row += r
-    return diag, row
+        terms = ((net.backprop_deltas(trace, term.seed), term.weight / b)
+                 for term in model.enumerate_fisher_terms(y))
+    sq_deltas = None
+    for deltas, w in terms:
+        w = np.reshape(w, (-1, 1))
+        if sq_deltas is None:
+            sq_deltas = [w * d**2 for d in deltas]
+        else:
+            for q, d in zip(sq_deltas, deltas):
+                q += w * d**2
+    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi)
 
 
 def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepReport:

@@ -57,15 +57,10 @@ def _promote(y, t=None):
 
 
 class OutputModel:
-    """Shared checks for the concrete output models."""
+    """The interface of the concrete output models."""
 
     k: int
     kind: str
-
-    def _check(self, y, t, single):
-        if y.shape[1] != self.k:
-            raise ValueError(f"output width {y.shape[1]} != {self.k}")
-        return y, t
 
     def loss(self, y, t):
         raise NotImplementedError
@@ -133,9 +128,6 @@ class CategoricalOutput(OutputModel):
                 terms.append(FisherTerm(seed, weight))
         return terms
 
-    def predict(self, y):
-        return self.probs(y)
-
     def error(self, y, t):
         y, t, single = _promote(y, t)
         wrong = (np.argmax(y, axis=1) != np.asarray(t, dtype=np.int64)).astype(float)
@@ -196,9 +188,6 @@ class GaussianOutput(OutputModel):
             w = float(inv_s2[c])
             terms.append(FisherTerm(seed[0] if single else seed, w))
         return terms
-
-    def predict(self, y):
-        return y
 
     def error(self, y, t):
         y, t, single = _promote(y, t)
@@ -275,9 +264,6 @@ class BernoulliOutput(OutputModel):
             else:
                 terms.append(FisherTerm(seed, w))
         return terms
-
-    def predict(self, y):
-        return self.probs(y)
 
     def error(self, y, t):
         y, t, single = _promote(y, t)

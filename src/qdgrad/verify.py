@@ -46,9 +46,8 @@ def _loss_mean(net, model, X, T):
 
 def gradcheck_max_rel(net, model, X, T, n_coords, rng, h=1e-6):
     """Max relative error of backprop against central differences."""
-    y = net.forward(X, mode="eval").output
     tr = net.forward(X, mode="eval")
-    grad = net.backprop(tr, model.loss_output_grad(y, T)) / len(X)
+    grad = net.backprop(tr, model.loss_output_grad(tr.output, T)) / len(X)
     theta0 = net.get_params()
     coords = rng.permutation(theta0.size)[:n_coords]
     worst = 0.0

@@ -335,7 +335,7 @@ def test_qd_batch_terms_match_per_sample_rank_one(quasi):
 
     tr = net.forward(X, mode="eval")
     deltas = net.backprop_deltas(tr, C)
-    diag, row = net.qd_batch_terms(tr, deltas, w, quasi=quasi)
+    diag, row = net.qd_batch_terms(tr, [w[:, None] * d**2 for d in deltas], quasi=quasi)
 
     ref = QDMetric(net.layout, quasi=quasi)
     for s in range(8):
@@ -348,19 +348,6 @@ def test_qd_batch_terms_match_per_sample_rank_one(quasi):
         assert np.all(row[net.layout.starts] == 0.0)
     else:
         assert row is None
-
-
-def test_qd_batch_terms_scalar_weight_broadcasts():
-    rng = np.random.default_rng(32)
-    net = random_net(rng, [3, 3, 2], "tanh")
-    X = rng.standard_normal((4, 3))
-    C = rng.standard_normal((4, 2))
-    tr = net.forward(X, mode="eval")
-    deltas = net.backprop_deltas(tr, C)
-    d1, r1 = net.qd_batch_terms(tr, deltas, 0.25)
-    d2, r2 = net.qd_batch_terms(tr, deltas, np.full(4, 0.25))
-    np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_array_equal(r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +439,11 @@ def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
     for got, ref in zip(deltas, ref_deltas):
         assert_close(got, ref)
     assert_close(net.grad_from_deltas(tr, deltas), grad)
-    qd_diag, qd_row = net.qd_batch_terms(tr, deltas, w, quasi=True)
+    sq_deltas = [w[:, None] * d**2 for d in deltas]
+    qd_diag, qd_row = net.qd_batch_terms(tr, sq_deltas, quasi=True)
     assert_close(qd_diag, diag)
     assert_close(qd_row, row)
-    d_only, none = net.qd_batch_terms(tr, deltas, w, quasi=False)
+    d_only, none = net.qd_batch_terms(tr, sq_deltas, quasi=False)
     assert_close(d_only, diag)
     assert none is None
 

@@ -13,7 +13,7 @@ from qdgrad.optim import (
     metric_warmup,
     optimizer_step,
 )
-from qdgrad.outputs import CategoricalOutput, GaussianOutput
+from qdgrad.outputs import BernoulliOutput, CategoricalOutput, GaussianOutput
 
 
 def bias_only_net(theta0):
@@ -169,25 +169,64 @@ def test_identity_metric_reduces_to_sgd():
 # ---------------------------------------------------------------------------
 
 
-def test_qdnat_first_step_matches_dense_fisher_reduction():
+def output_fisher(model, y):
+    """The output model's Fisher matrix in output space at one sample's output y."""
+    if model.kind == "categorical":
+        p = model.probs(y)
+        return np.diag(p) - np.outer(p, p)
+    if model.kind == "bernoulli":
+        p = model.probs(y)
+        return np.diag(p * (1.0 - p))
+    return np.diag(1.0 / model.sigma**2)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+@pytest.mark.parametrize("kind", ["categorical", "bernoulli", "gaussian"])
+@pytest.mark.parametrize("algo", ["qdnat", "qdmcnat"])
+def test_qdnat_first_step_matches_dense_fisher_reduction(algo, kind, masked):
+    """The first step's metric against dense sums of per-sample outer products.
+
+    qdnat: J^T F J over samples, F the output-space Fisher, whose terms
+    weigh each sample (categorical, bernoulli) or each output (gaussian).
+    qdmcnat with 3 draws: v v^T over samples and draws, v the gradient for
+    the same seeded pseudo-targets the step draws.
+    """
     rng = np.random.default_rng(4)
-    net, model, X, T = random_problem(rng, [2, 3, 2], 2, batch=3)
-    cfg = OptimizerConfig("qdnat", eta=0.01)
+    sizes, batch = [3, 4, 3], 3
+    k = sizes[-1]
+    masks = make_sparse_layout(sizes, fan_in=2, rng=rng) if masked else None
+    net = Network(sizes, "sigmoid", masks=masks)
+    net.init_params(rng)
+    X = rng.uniform(0.0, 1.0, size=(batch, sizes[0]))
+    if kind == "categorical":
+        model, T = CategoricalOutput(k), rng.integers(0, k, size=batch)
+    elif kind == "bernoulli":
+        model, T = BernoulliOutput(k), rng.integers(0, 2, size=(batch, k)).astype(float)
+    else:
+        model, T = GaussianOutput(k, sigma=[0.5, 1.0, 2.0]), rng.standard_normal((batch, k))
+    cfg = OptimizerConfig(algo, eta=0.01, n_mc=3)
     state = OptimizerState(net, cfg)
     theta = net.get_params()
 
     dense = np.zeros((net.layout.dim, net.layout.dim))
-    for s in range(len(X)):
-        tr = net.forward(X[s], mode="eval")
-        p = model.probs(tr.output)
-        for c in range(2):
-            seed = p.copy()
-            seed[c] -= 1.0
-            v = net.backprop(tr, seed)
-            dense += p[c] * np.outer(v, v) / len(X)
+    if algo == "qdnat":
+        for s in range(batch):
+            tr = net.forward(X[s], mode="eval")
+            J = np.array([net.backprop(tr, e) for e in np.eye(k)])
+            dense += J.T @ output_fisher(model, tr.output) @ J / batch
+    else:
+        Y = net.forward(X, mode="eval").output
+        draws = np.random.default_rng(11)
+        for _ in range(cfg.n_mc):
+            pseudo = model.sample_pseudo_target(Y, draws)
+            for s in range(batch):
+                tr = net.forward(X[s], mode="eval")
+                v = net.backprop(tr, model.loss_output_grad(tr.output, pseudo[s]))
+                dense += np.outer(v, v) / (batch * cfg.n_mc)
     ref = qd_reduce(dense, net.layout, quasi=True)
 
-    optimizer_step(net, model, X, T, state, cfg)  # first minibatch: gamma = 1
+    # first minibatch: gamma = 1
+    optimizer_step(net, model, X, T, state, cfg, rng=np.random.default_rng(11))
     np.testing.assert_allclose(state.metric.diag, ref.diag, rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(state.metric.row, ref.row, rtol=1e-10, atol=1e-14)
     assert not np.array_equal(net.get_params(), theta)
