@@ -6,6 +6,10 @@ Blocks correspond to the incoming parameters of one unit, with the bias as
 entry 0 of the block. Storage is two flat arrays of dim(theta) reals each,
 regardless of block sizes.
 
+The dim-sized elementwise passes (accumulation, solve, the parameter
+update) run in chunks of CHUNK_FLOATS floats with out= ops, so they
+allocate no dim-sized temporary.
+
 The solver inverts the retained entries against a vector in closed form:
 each (bias, weight_i) pair is treated as an independent 2x2 system, then the
 bias row is adjusted for the already-solved weights. For blocks of length 2
@@ -21,6 +25,29 @@ __all__ = [
     "QDMetric",
     "qd_reduce",
 ]
+
+
+# Floats per operand in one chunk of a dim-sized pass: 256 KiB, so that the
+# few operands of one chunk stay in a core's 2 MiB L2 cache. The sampled
+# products of masked layers in network.py use the same budget. There,
+# gathering a whole layer at once allocates nnz * batch floats per operand,
+# 41 MB at the first layer of the paper's sparse net at batch 200; on that
+# net (2-vCPU Xeon, batch 200) one gradient plus one QD-term call took a
+# median 72 ms with these chunks, 95 ms with 2^18 floats (about 128 units)
+# and 178 ms with whole layers.
+CHUNK_FLOATS = 1 << 15
+
+
+def axpy(y: np.ndarray, a: float, x: np.ndarray) -> None:
+    """y += a * x in place, chunk by chunk.
+
+    Gives the same floats as the whole-array expression, without its
+    dim-sized temporary a * x.
+    """
+    buf = np.empty(min(CHUNK_FLOATS, y.size))
+    for lo in range(0, y.size, CHUNK_FLOATS):
+        hi = min(lo + CHUNK_FLOATS, y.size)
+        np.add(y[lo:hi], np.multiply(x[lo:hi], a, out=buf[: hi - lo]), out=y[lo:hi])
 
 
 class MetricError(ValueError):
@@ -83,6 +110,10 @@ class QDMetric:
     In quasi-diagonal mode both arrays are live; the first entry of ``row``
     in each block is unused and kept at zero. In diagonal mode ``row`` is
     ignored entirely and stays zero.
+
+    The arrays may be handed in. The training step double-buffers the
+    metric: ``updated`` builds the next metric in a spare pair of arrays,
+    and once the step has succeeded the old pair becomes the next spare.
     """
 
     def __init__(self, layout: BlockLayout, quasi: bool = True, diag=None, row=None):
@@ -120,9 +151,9 @@ class QDMetric:
         diag and row contributions with matrix products instead of looping
         over per-sample rank-one updates.
         """
-        self.diag += alpha * diag_inc
+        axpy(self.diag, alpha, diag_inc)
         if self.quasi and row_inc is not None:
-            self.row += alpha * row_inc
+            axpy(self.row, alpha, row_inc)
 
     def decay(self, gamma: float) -> None:
         """Scale the whole metric by (1 - gamma)."""
@@ -136,10 +167,10 @@ class QDMetric:
         """The moving average (1 - g) M + g M_batch; this metric is left as it is.
 
         g is gamma, or 1 for the first minibatch of an uninitialized metric.
-        The result is built in the minibatch arrays (row_batch is None in
-        diagonal mode) and takes them over, so the update allocates no
-        further dim-sized array, and a caller that drops the result keeps
-        the metric it had.
+        The result is built in the minibatch arrays and takes them over
+        (row_batch is None in diagonal mode, where the result shares this
+        metric's zero row), so the update allocates no dim-sized array, and
+        a caller that drops the result keeps the metric it had.
         """
         g = gamma if self.initialized else 1.0
         new = QDMetric(self.layout, self.quasi, diag_batch,
@@ -149,29 +180,21 @@ class QDMetric:
         new.initialized = True
         return new
 
-    def assign(self, other: "QDMetric") -> None:
-        """Copy other's entries into this metric's own arrays.
-
-        Committing an updated metric by copy keeps the metric in the arrays
-        it was created with. Taking over the minibatch arrays instead would
-        leave a long-lived allocation above each step's temporaries, and
-        the allocator could no longer return the freed heap: on the sparse
-        benchmark net that raised peak RSS by 10-50 MiB.
-        """
-        np.copyto(self.diag, other.diag)
-        if self.quasi:
-            np.copyto(self.row, other.row)
-        self.initialized = other.initialized
-
     # -- solving -----------------------------------------------------------
 
-    def solve(self, v: np.ndarray, epsilon: float) -> np.ndarray:
+    def solve(self, v: np.ndarray, epsilon: float, out=None) -> np.ndarray:
         """Apply the inverse of the regularized metric to v.
 
         Quasi-diagonal mode, per block with Delta = diag + epsilon:
             w_i = (Delta_0 v_i - r_i v_0) / max(Delta_i Delta_0 - r_i^2, epsilon)
             w_0 = (v_0 - sum_i r_i w_i) / Delta_0
         Diagonal mode is elementwise division by Delta.
+
+        The result goes to out if given (a dim-sized array that does not
+        overlap v), else to a new array. Each run of equal-length blocks is
+        solved in chunks of whole blocks, about CHUNK_FLOATS floats each (a
+        longer block is a chunk of its own), with the float operations of
+        the formulas above applied to the whole run.
 
         Raises MetricError on an exactly zero divisor, which happens only
         for an uninitialized metric with epsilon = 0.
@@ -181,32 +204,48 @@ class QDMetric:
             raise MetricError("vector does not match layout")
         if epsilon < 0.0:
             raise MetricError("epsilon must be >= 0")
-        out = np.empty_like(v)
+        if out is None:
+            out = np.empty_like(v)
         if not self.quasi:
             delta = np.add(self.diag, epsilon, out=out)
             if np.any(delta == 0.0):
                 raise MetricError("zero diagonal entry; metric uninitialized?")
             np.divide(v, delta, out=out)
             return out
-        # Delta per group, not for all of theta at once: the step's peak
-        # memory is reached in here
+        width = max(CHUNK_FLOATS, int(self.layout.lengths.max()))
+        d_buf, den_buf, tmp_buf = np.empty((3, width))
         for flat, count, length in self.layout.groups():
             stop = flat + count * length
-            d = self.diag[flat:stop].reshape(count, length) + epsilon
-            if np.any(d[:, 0] == 0.0):
+            # all bias entries of the run first, as a zero one is reported
+            # before any zero pair determinant of the run
+            if np.any(self.diag[flat:stop:length] + epsilon == 0.0):
                 raise MetricError("zero bias entry; metric uninitialized?")
-            b = v[flat:stop].reshape(count, length)
-            w = out[flat:stop].reshape(count, length)
-            if length == 1:
-                w[:, 0] = b[:, 0] / d[:, 0]
-                continue
-            r = self.row[flat:stop].reshape(count, length)[:, 1:]
-            d0 = d[:, :1]
-            denom = np.maximum(d[:, 1:] * d0 - r * r, epsilon)
-            if np.any(denom == 0.0):
-                raise MetricError("zero pair determinant; metric uninitialized?")
-            w[:, 1:] = (d0 * b[:, 1:] - r * b[:, :1]) / denom
-            w[:, 0] = (b[:, 0] - np.sum(r * w[:, 1:], axis=1)) / d[:, 0]
+            rows = width // length  # whole blocks per chunk
+            for lo in range(flat, stop, rows * length):
+                hi = min(lo + rows * length, stop)
+                k = (hi - lo) // length
+                d = np.add(self.diag[lo:hi], epsilon, out=d_buf[: hi - lo]).reshape(k, length)
+                b = v[lo:hi].reshape(k, length)
+                w = out[lo:hi].reshape(k, length)
+                if length == 1:
+                    np.divide(b, d, out=w)
+                    continue
+                r = self.row[lo:hi].reshape(k, length)[:, 1:]
+                d0, w1 = d[:, :1], w[:, 1:]
+                denom = den_buf[: k * (length - 1)].reshape(k, length - 1)
+                tmp = tmp_buf[: k * (length - 1)].reshape(k, length - 1)
+                np.multiply(d[:, 1:], d0, out=denom)
+                np.subtract(denom, np.multiply(r, r, out=tmp), out=denom)
+                np.maximum(denom, epsilon, out=denom)
+                if np.any(denom == 0.0):
+                    raise MetricError("zero pair determinant; metric uninitialized?")
+                np.multiply(d0, b[:, 1:], out=tmp)
+                np.multiply(r, b[:, :1], out=w1)
+                np.subtract(tmp, w1, out=w1)
+                np.divide(w1, denom, out=w1)
+                total = np.sum(np.multiply(r, w1, out=tmp), axis=1)
+                np.subtract(b[:, 0], total, out=total)
+                np.divide(total, d[:, 0], out=w[:, 0])
         return out
 
     # -- inspection --------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.special import expit
 
-from .metric import BlockLayout
+from .metric import CHUNK_FLOATS, BlockLayout
 
 __all__ = [
     "Network",
@@ -145,16 +145,6 @@ def _aliased(kind, data, indices, indptr, shape):
     return M
 
 
-# Floats per operand in one chunk of the sampled products of a masked
-# layer: 256 KiB, so the gathered operands stay in a core's 2 MiB L2
-# cache. Gathering a whole layer at once allocates nnz * batch floats per
-# operand, 41 MB at the first layer of the paper's sparse net at batch
-# 200. On that net (2-vCPU Xeon, batch 200) one gradient plus one QD-term
-# call took a median 72 ms with these chunks, 95 ms with 2^18 floats
-# (about 128 units) and 178 ms with whole layers.
-_CHUNK_FLOATS = 1 << 15
-
-
 class _LayerIndex:
     """Where one weight layer's [b|W] matrix sits in a theta-shaped vector.
 
@@ -218,7 +208,7 @@ class _LayerIndex:
         """
         dT = np.ascontiguousarray(d.T)
         aT = np.ascontiguousarray(a.T)
-        step = max(1, _CHUNK_FLOATS // max(1, d.shape[0]))  # entries per chunk
+        step = max(1, CHUNK_FLOATS // max(1, d.shape[0]))  # entries per chunk
         cuts = np.searchsorted(self.indptr, np.arange(step, self.size, step))
         bounds = np.unique(np.concatenate(([0], cuts, [self.n])))
         for u0, u1 in zip(bounds[:-1], bounds[1:]):
@@ -359,9 +349,9 @@ class Network:
             deltas[layer - 1] = d
         return deltas
 
-    def grad_from_deltas(self, trace: ForwardTrace, deltas) -> ParamVector:
-        """Flat gradient, summed over the batch."""
-        grad = np.empty(self.layout.dim)
+    def grad_from_deltas(self, trace: ForwardTrace, deltas, out=None) -> ParamVector:
+        """Flat gradient, summed over the batch; written to out if given."""
+        grad = np.empty(self.layout.dim) if out is None else out
         for idx, d, a in zip(self._index, deltas, trace.inputs):
             if idx.dense:
                 np.matmul(d.T, a, out=idx.matrix(grad))
@@ -379,7 +369,7 @@ class Network:
         """
         return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
-    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True):
+    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True, out=None):
         """Metric terms from per-layer summed weighted squared deltas.
 
         sq_deltas[l] is the (B, sizes[l+1]) array sum_c w_c d_c**2 over
@@ -388,10 +378,12 @@ class Network:
         with
             diag = sum_s,c w_sc v_sc**2,  row_i = sum_s,c w_sc v_sc0 v_sci,
         where v_sc is the per-sample gradient for seed c. row is None in
-        diagonal mode.
+        diagonal mode. With out = (diag, row), the terms are written there
+        (out's row is ignored in diagonal mode).
         """
-        diag = np.empty(self.layout.dim)
-        row = np.empty(self.layout.dim) if quasi else None
+        if out is None:
+            out = np.empty(self.layout.dim), np.empty(self.layout.dim) if quasi else None
+        diag, row = out[0], out[1] if quasi else None
         for idx, q, a in zip(self._index, sq_deltas, trace.inputs):
             if idx.dense:
                 np.matmul(q.T, a * a, out=idx.matrix(diag))

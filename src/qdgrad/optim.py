@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import QDMetric
+from .metric import QDMetric, axpy
 
 __all__ = [
     "ALGOS",
@@ -71,11 +71,32 @@ class OptimizerConfig:
 
 
 class OptimizerState:
-    """Owns the metric accumulator between steps."""
+    """Owns the metric and the dim-sized arrays of a step, allocated once.
+
+    grad is the minibatch mean gradient and direction the preconditioned
+    one (sgd steps along grad). spare is the (diag, row) pair that the next
+    metric is built in, row None in diagonal mode: the step writes the
+    minibatch metric terms there and forms the moving average in place,
+    and once the step has succeeded the metric takes the pair over and its
+    old arrays become the next spare. A step that raises has written only
+    to these scratch arrays.
+    """
 
     def __init__(self, net, cfg: OptimizerConfig):
-        self.metric = QDMetric(net.layout, quasi=cfg.quasi) if cfg.needs_metric else None
+        dim = net.layout.dim
+        self.grad = np.empty(dim)
+        self.metric = self.direction = self.spare = None
+        if cfg.needs_metric:
+            self.metric = QDMetric(net.layout, quasi=cfg.quasi)
+            self.direction = np.empty(dim)
+            self.spare = (np.empty(dim), np.empty(dim) if cfg.quasi else None)
         self.t = 0  # completed parameter updates
+
+    def commit(self, metric: QDMetric) -> None:
+        """Keep metric, built in the spare pair, and make the old pair the spare."""
+        old = self.metric
+        self.spare = (old.diag, old.row if old.quasi else None)
+        self.metric = metric
 
 
 @dataclass
@@ -85,13 +106,14 @@ class StepReport:
     step_norm: float
 
 
-def _metric_batch(net, model, trace, grad_deltas, cfg, rng):
+def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None):
     """Minibatch-averaged metric contribution (diag, row) for cfg.algo.
 
     Each algorithm lists its (deltas, weight) terms, a weight being a scalar
     or one per sample. The metric depends on the terms only through the sum
     of weight * deltas**2 per layer, so that sum is formed first and the
-    activation products run once, however many terms there are.
+    activation products run once, however many terms there are. The terms
+    are written to out, a (diag, row) pair, if given.
     """
     y = trace.pre_activations[-1]
     b = y.shape[0]
@@ -113,7 +135,7 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng):
         else:
             for q, d in zip(sq_deltas, deltas):
                 q += w * d**2
-    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi)
+    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi, out=out)
 
 
 def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepReport:
@@ -133,26 +155,30 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         y = trace.pre_activations[-1]
         loss = float(np.mean(model.loss(y, targets)))
         grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
-        grad_mean = net.grad_from_deltas(trace, grad_deltas) / b
+        grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
+        grad_mean /= b
 
         theta = net.get_params()
         metric = None
         if cfg.algo == "sgd":
             direction = grad_mean
         else:
-            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng)
+            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
             metric = state.metric.updated(diag, row, cfg.gamma)
+            direction = state.direction
             if cfg.algo == "adagrad":
-                direction = grad_mean / np.sqrt(metric.diag + cfg.epsilon)
+                np.add(metric.diag, cfg.epsilon, out=direction)
+                np.sqrt(direction, out=direction)
+                np.divide(grad_mean, direction, out=direction)
             else:
-                direction = metric.solve(grad_mean, cfg.epsilon)
+                metric.solve(grad_mean, cfg.epsilon, out=direction)
 
     if not (np.isfinite(loss) and np.isfinite(direction).all()):
         raise DivergenceError("non-finite loss or update direction", eta=cfg.eta)
-    theta -= cfg.eta * direction
+    axpy(theta, -cfg.eta, direction)  # theta -= eta * direction, bit for bit
     net.set_params(theta)
     if metric is not None:
-        state.metric.assign(metric)
+        state.commit(metric)
     if getattr(model, "learn_variance", False):
         vgrad = model.variance_grad(y, targets).mean(axis=0)
         model.variance_step(vgrad, cfg.eta)
@@ -174,5 +200,5 @@ def metric_warmup(net, model, inputs, targets, state, cfg, rng=None) -> None:
     trace = net.forward(inputs, mode="train", rng=rng)
     y = trace.pre_activations[-1]
     grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
-    diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng)
-    state.metric.assign(state.metric.updated(diag, row, 1.0))
+    diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
+    state.commit(state.metric.updated(diag, row, 1.0))

@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` for the per-criterion verdict
 lines; each test also prints a detail line with the measured numbers.
 """
 
+import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,17 @@ from qdgrad.verify import (
 )
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
+
+
+def environment_line():
+    """numpy, BLAS and the BLAS thread count, on which a report's last digits depend."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))
+    return f"environment: numpy {np.__version__}, BLAS {blas}, BLAS threads {threads}"
 
 
 def announce(num, name, ok, details):
@@ -147,7 +159,8 @@ def test_c8_learning_speed_report(subset_of):
 
     REPORT_DIR.mkdir(exist_ok=True)
     report = REPORT_DIR / "learning_speed.txt"
-    lines = ["learning-speed comparison (5000-sample subset, 784-100-10)", ""]
+    lines = ["learning-speed comparison (5000-sample subset, 784-100-10)",
+             environment_line(), ""]
     for algo, g in grids.items():
         lines.append(f"[{algo} grid, 3 epochs, best by final valid nll]")
         lines.extend(g.summary_lines())

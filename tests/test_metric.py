@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgrad.metric import BlockLayout, MetricError, QDMetric, qd_reduce
+from qdgrad.metric import CHUNK_FLOATS, BlockLayout, MetricError, QDMetric, axpy, qd_reduce
 
 # ---------------------------------------------------------------------------
 # Oracles. The library never builds dense matrices; these do.
@@ -261,6 +261,94 @@ def test_solve_length_one_blocks():
     m = QDMetric(BlockLayout(np.array([1, 1])))
     m.diag[:] = [2.0, 4.0]
     np.testing.assert_allclose(m.solve(np.array([1.0, 1.0]), 0.0), [0.5, 0.25])
+
+
+# ---------------------------------------------------------------------------
+# Chunked passes against the whole-array formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+C = CHUNK_FLOATS
+ROWS_OF_1000 = C // 1000  # whole blocks of length 1000 in one chunk
+
+CHUNK_EDGE_LAYOUTS = {
+    "block-longer-than-chunk": [C + 5, C + 5, 3],
+    "count-not-multiple-of-rows": [1000] * (2 * ROWS_OF_1000 + 3) + [7] * 5,
+    "length-one-blocks": [1] * (C + 7) + [2] * 3,
+    "mixed": [4] * 9 + [1] * 3 + [C // 3] * 4 + [1, C, 2],
+}
+
+
+def solve_whole_groups(m, v, epsilon):
+    """QDMetric.solve as whole-run array expressions, with no chunks."""
+    if not m.quasi:
+        return v / (m.diag + epsilon)
+    out = np.empty_like(v)
+    for flat, count, length in m.layout.groups():
+        stop = flat + count * length
+        d = m.diag[flat:stop].reshape(count, length) + epsilon
+        b = v[flat:stop].reshape(count, length)
+        w = out[flat:stop].reshape(count, length)
+        if length == 1:
+            w[:, 0] = b[:, 0] / d[:, 0]
+            continue
+        r = m.row[flat:stop].reshape(count, length)[:, 1:]
+        d0 = d[:, :1]
+        denom = np.maximum(d[:, 1:] * d0 - r * r, epsilon)
+        w[:, 1:] = (d0 * b[:, 1:] - r * b[:, :1]) / denom
+        w[:, 0] = (b[:, 0] - np.sum(r * w[:, 1:], axis=1)) / d[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("quasi", [True, False], ids=["quasi", "diagonal"])
+@pytest.mark.parametrize("given_out", [False, True], ids=["new-out", "given-out"])
+@pytest.mark.parametrize("name", sorted(CHUNK_EDGE_LAYOUTS))
+def test_chunked_solve_matches_whole_groups_bitwise(name, given_out, quasi):
+    rng = np.random.default_rng(sorted(CHUNK_EDGE_LAYOUTS).index(name))
+    layout = BlockLayout(np.array(CHUNK_EDGE_LAYOUTS[name]))
+    m = QDMetric(layout, quasi=quasi)
+    m.diag[:] = rng.uniform(0.0, 2.0, layout.dim)
+    if quasi:
+        # some pair determinants go negative and are clamped to epsilon
+        m.row[:] = rng.normal(0.0, 1.0, layout.dim)
+        m.row[layout.starts] = 0.0
+    v = rng.standard_normal(layout.dim)
+    out = np.full(layout.dim, np.nan) if given_out else None
+    w = m.solve(v, 1e-8, out=out)
+    if given_out:
+        assert w is out
+    np.testing.assert_array_equal(w, solve_whole_groups(m, v, 1e-8))
+
+
+@pytest.mark.parametrize("size", [0, 1, C - 1, C, C + 1, 3 * C + 5])
+def test_axpy_matches_whole_array_bitwise(size):
+    rng = np.random.default_rng(size)
+    y, x = rng.standard_normal(size), rng.standard_normal(size)
+    a = float(rng.uniform(0.1, 3.0))
+    # -a is the parameter update: adding (-a) x is subtracting a x
+    for coef, ref in ((a, y + a * x), (-a, y - a * x)):
+        out = y.copy()
+        axpy(out, coef, x)
+        np.testing.assert_array_equal(out, ref)
+
+
+def test_chunked_solve_raises_both_errors_in_run_order():
+    length = 1000
+    count = 3 * ROWS_OF_1000
+    m = QDMetric(BlockLayout(np.array([length] * count)))
+    v = np.ones(m.layout.dim)
+    with pytest.raises(MetricError, match="zero bias entry"):
+        m.solve(v, 0.0)  # uninitialized
+    m.diag[:] = 1.0
+    last = m.layout.block_slice(count - 1)
+    m.diag[last.start + 1] = 0.0  # a zero pair determinant in the last chunk
+    with pytest.raises(MetricError, match="zero pair determinant"):
+        m.solve(v, 0.0)
+    # a zero bias entry in a later chunk is still reported first
+    m.diag[:] = 1.0
+    m.diag[1] = 0.0  # pair determinant of the first block, first chunk
+    m.diag[last.start] = 0.0
+    with pytest.raises(MetricError, match="zero bias entry"):
+        m.solve(v, 0.0)
 
 
 # ---------------------------------------------------------------------------

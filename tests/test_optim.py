@@ -1,7 +1,11 @@
 """Optimizer tests: frozen recursions, dense-metric oracles, invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdgrad.metric import QDMetric, qd_reduce
 from qdgrad.network import Network, make_sparse_layout
@@ -362,6 +366,77 @@ def test_divergence_raises_and_leaves_params_untouched():
         np.testing.assert_array_equal(state.metric.diag, metric.diag, err_msg=algo)
         np.testing.assert_array_equal(state.metric.row, metric.row, err_msg=algo)
         assert state.metric.initialized is metric.initialized is True, algo
+
+
+@st.composite
+def small_problems(draw):
+    """A small dense or masked net with a learned-variance Gaussian head."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    masked = draw(st.booleans()) and len(sizes) > 2
+    dropout = draw(st.sampled_from([0.0, 0.3]))
+    activation = draw(st.sampled_from(["sigmoid", "tanh", "relu"]))
+    rng = np.random.default_rng(seed)
+    masks = None
+    if masked:
+        fan_in = draw(st.integers(1, min(sizes[:-2])))
+        masks = make_sparse_layout(sizes, fan_in, rng)
+    net = Network(sizes, activation, masks=masks, dropout=dropout)
+    net.init_params(rng)
+    batch = draw(st.integers(1, 4))
+    X = rng.uniform(-1.0, 1.0, size=(batch, sizes[0]))
+    T = rng.standard_normal((batch, sizes[-1]))
+    return seed, net, X, T
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_problems(), st.sampled_from(ALGOS))
+def test_failed_step_leaves_no_trace_in_later_steps(problem, algo):
+    # good step, overflowing step, good step == the same two good steps
+    seed, net, X, T = problem
+    cfg = OptimizerConfig(algo, eta=0.05, gamma=0.3)
+    runs = []
+    for fail in (True, False):
+        twin = net.copy()
+        model = GaussianOutput(T.shape[1], sigma=0.5, learn_variance=True)
+        state = OptimizerState(twin, cfg)
+        optimizer_step(twin, model, X, T, state, cfg, np.random.default_rng([seed, 1]))
+        if fail:
+            with pytest.raises(DivergenceError):  # the loss overflows
+                optimizer_step(twin, model, X, T * 1e300, state, cfg,
+                               np.random.default_rng([seed, 2]))
+        optimizer_step(twin, model, X, T, state, cfg, np.random.default_rng([seed, 3]))
+        runs.append((twin, model, state))
+    (a, model_a, sa), (b, model_b, sb) = runs
+    np.testing.assert_array_equal(a.theta, b.theta)
+    np.testing.assert_array_equal(model_a.log_sigma, model_b.log_sigma)
+    assert sa.t == sb.t == 2
+    if sa.metric is None:
+        assert sb.metric is None
+        return
+    np.testing.assert_array_equal(sa.metric.diag, sb.metric.diag)
+    np.testing.assert_array_equal(sa.metric.row, sb.metric.row)
+    assert sa.metric.initialized is sb.metric.initialized is True
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_warm_step_allocates_less_than_two_thetas(algo):
+    # theta-sized work runs in the state's own arrays and in chunks; the
+    # batch arrays of this net are small next to theta
+    rng = np.random.default_rng(13)
+    net, model, X, T = random_problem(rng, [784, 300, 10], 10, batch=8)
+    cfg = OptimizerConfig(algo, eta=0.01)
+    state = OptimizerState(net, cfg)
+    for _ in range(2):
+        optimizer_step(net, model, X, T, state, cfg, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        optimizer_step(net, model, X, T, state, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * net.theta.nbytes
 
 
 def test_learned_variance_takes_sgd_step():
