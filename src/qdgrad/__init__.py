@@ -2,9 +2,8 @@
 
 from .data import (
     Dataset,
-    TransformSpec,
-    apply_transform,
     generate_eeg,
+    invert_features,
     load_csv,
     load_idx,
     minibatches,
@@ -73,12 +72,11 @@ __all__ = [
     "SUITES",
     "StaleTraceError",
     "TrainLog",
-    "TransformSpec",
-    "apply_transform",
     "benchmark",
     "eval_metrics",
     "generate_eeg",
     "grid_search",
+    "invert_features",
     "load_checkpoint",
     "load_csv",
     "load_idx",

@@ -1,9 +1,9 @@
-"""Dataset loading, normalization, transforms, and minibatch iteration.
+"""Dataset loading, normalization, feature inversion, and minibatch iteration.
 
 Features are kept as an (N, D) float array in [0, 1]. Targets are one of
 three kinds: "class" (integer labels), "vector" (real regression targets),
 or "self" (autoencoding; the target array IS the feature array, so the
-reconstruction target tracks any feature transform for free).
+reconstruction target tracks the inversion of the features for free).
 """
 
 import csv
@@ -14,14 +14,13 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "TransformSpec",
     "load_idx",
     "load_csv",
     "write_idx_images",
     "write_idx_labels",
     "write_csv",
     "minibatches",
-    "apply_transform",
+    "invert_features",
     "generate_eeg",
     "split_last",
 ]
@@ -59,9 +58,9 @@ class Dataset:
             if n and (self.targets.min() < 0 or self.targets.max() >= self.n_classes):
                 raise ValueError("class index out of range")
         else:
-            self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
-            if len(self.targets) != n:
-                raise ValueError("target rows must match feature rows")
+            self.targets = np.asarray(self.targets, dtype=float)
+            if self.targets.ndim != 2 or len(self.targets) != n:
+                raise ValueError("vector targets must be a 2-D array, one row per feature row")
         if self.train_idx is None:
             self.train_idx = np.arange(n)
         if self.valid_idx is None:
@@ -215,13 +214,15 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
 
 
 def write_csv(path, array) -> None:
-    """Full-precision dump, one row per line (round-trips through load_csv)."""
-    np.savetxt(path, np.atleast_2d(np.asarray(array, dtype=float)),
-               fmt="%.17g", delimiter=",")
+    """Full-precision dump of an (N, D) array, one row per line.
+
+    Round-trips through load_csv.
+    """
+    np.savetxt(path, np.asarray(array, dtype=float), fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------
-# Iteration and transforms
+# Iteration and inversion
 # ---------------------------------------------------------------------------
 
 
@@ -234,31 +235,15 @@ def minibatches(ds: Dataset, batch_size, rng):
         yield order[lo : lo + batch_size]
 
 
-@dataclass
-class TransformSpec:
-    """Feature-space edits, applied as invert, then scale/shift, then shuffle."""
+def invert_features(ds: Dataset) -> Dataset:
+    """The dataset with every feature x replaced by 1 - x.
 
-    invert: bool = False
-    scale: float | np.ndarray | None = None
-    shift: float | np.ndarray | None = None
-    shuffle_seed: int | None = None
-
-
-def apply_transform(ds: Dataset, spec: TransformSpec) -> Dataset:
-    x = ds.features.copy()
-    if spec.invert:
-        if x.min() < 0.0 or x.max() > 1.0:
-            raise ValueError("inversion expects features in [0, 1]")
-        x = 1.0 - x
-    if spec.scale is not None:
-        x = x * spec.scale
-    if spec.shift is not None:
-        x = x + spec.shift
-    if spec.shuffle_seed is not None:
-        perm = np.random.default_rng(spec.shuffle_seed).permutation(x.shape[1])
-        x = x[:, perm]
+    Autoencoding targets follow the features; the splits stay the same.
+    """
+    if ds.features.min() < 0.0 or ds.features.max() > 1.0:
+        raise ValueError("inversion expects features in [0, 1]")
     return Dataset(
-        x, ds.targets if ds.target_kind != "self" else None,
+        1.0 - ds.features, ds.targets if ds.target_kind != "self" else None,
         ds.target_kind, ds.n_classes, ds.train_idx, ds.valid_idx,
     )
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, TransformSpec, apply_transform, minibatches
+from .data import Dataset, invert_features, minibatches
 from .network import Network, make_sparse_layout, save_checkpoint
 from .optim import ALGOS, DivergenceError, OptimizerConfig, OptimizerState, optimizer_step
 from .outputs import make_output_model
@@ -157,6 +157,8 @@ def _build(ds: Dataset, config: RunConfig):
             raise ValueError("categorical output needs class targets")
         if config.output != "categorical" and ds.target_kind == "class":
             raise ValueError("class targets need a categorical output")
+        if config.batch_size < 1:
+            raise ValueError(f"batch size must be at least 1, got {config.batch_size}")
         rng = np.random.default_rng(config.seed)
         masks = None
         if config.sparsity is not None:
@@ -187,7 +189,7 @@ def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
     training. The final checkpoint always holds finite parameters.
     """
     if config.invert_inputs:
-        ds = apply_transform(ds, TransformSpec(invert=True))
+        ds = invert_features(ds)
     net, model, state, cfg, rng = _build(ds, config)
     log = TrainLog(config.log)
     try:
@@ -305,24 +307,25 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
     """Median wall time of the minibatch step loop per epoch, per algorithm.
 
     Evaluation and logging are excluded from timing: only forward, backprop,
-    metric work, and the parameter update are measured. Ratios are relative
-    to sgd, which is always benchmarked.
+    metric work, and the parameter update are measured. Every algorithm's
+    run is built first, and their epochs are then timed round-robin, so a
+    slow stretch of the machine spreads over the algorithms instead of
+    landing on one. Ratios are relative to sgd, which is always benchmarked.
     """
     if epochs < 3:
         raise ValueError("need at least 3 epochs for a stable median")
     algos = list(algos) if algos is not None else list(ALGOS)
     if "sgd" not in algos:
         algos.insert(0, "sgd")
-    medians = {}
-    for algo in algos:
-        sub = replace(config, algo=algo, log=None, checkpoint=None)
-        net, model, state, cfg, rng = _build(ds, sub)
-        times = []
-        for _ in range(epochs):
+    runs = {algo: _build(ds, replace(config, algo=algo, log=None, checkpoint=None))
+            for algo in algos}
+    times = {algo: [] for algo in algos}
+    for _ in range(epochs):
+        for algo, (net, model, state, cfg, rng) in runs.items():
             t0 = time.perf_counter()
-            _epoch(ds, sub.batch_size, net, model, state, cfg, rng)
-            times.append(time.perf_counter() - t0)
-        medians[algo] = float(np.median(times))
+            _epoch(ds, config.batch_size, net, model, state, cfg, rng)
+            times[algo].append(time.perf_counter() - t0)
+    medians = {algo: float(np.median(t)) for algo, t in times.items()}
     ratios = {algo: medians[algo] / medians["sgd"] for algo in algos}
     return BenchResult(medians, ratios)
 

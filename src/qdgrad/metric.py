@@ -4,7 +4,7 @@ A quasi-diagonal (QD) metric approximates a block-diagonal curvature matrix
 by keeping, for each parameter block, only the diagonal and the first row.
 Blocks correspond to the incoming parameters of one unit, with the bias as
 entry 0 of the block. Storage is two flat arrays of dim(theta) reals each,
-regardless of block sizes.
+regardless of block sizes, or one in diagonal mode.
 
 The dim-sized elementwise passes (accumulation, solve, the parameter
 update) run in chunks of CHUNK_FLOATS floats with out= ops, so they
@@ -107,21 +107,35 @@ class BlockLayout:
 class QDMetric:
     """Diagonal plus first-row representation of a block curvature matrix.
 
-    In quasi-diagonal mode both arrays are live; the first entry of ``row``
-    in each block is unused and kept at zero. In diagonal mode ``row`` is
-    ignored entirely and stays zero.
+    In quasi-diagonal mode the first entry of ``row`` in each block is
+    unused and kept at zero. In diagonal mode there is no row: ``row`` is
+    None.
 
-    The arrays may be handed in. The training step double-buffers the
-    metric: ``updated`` builds the next metric in a spare pair of arrays,
-    and once the step has succeeded the old pair becomes the next spare.
+    The constructor allocates a zero metric; ``from_arrays`` wraps arrays
+    handed in. The training step double-buffers the metric: ``updated``
+    builds the next metric in a spare pair of arrays, and once the step
+    has succeeded the old pair becomes the next spare.
     """
 
-    def __init__(self, layout: BlockLayout, quasi: bool = True, diag=None, row=None):
+    def __init__(self, layout: BlockLayout, quasi: bool = True):
         self.layout = layout
-        self.quasi = bool(quasi)
-        self.diag = np.zeros(layout.dim) if diag is None else diag
-        self.row = np.zeros(layout.dim) if row is None else row
+        self.diag = np.zeros(layout.dim)
+        self.row = np.zeros(layout.dim) if quasi else None
         self.initialized = False
+
+    @classmethod
+    def from_arrays(cls, layout: BlockLayout, diag, row) -> "QDMetric":
+        """An uninitialized metric over the given arrays, not copied.
+
+        row None means diagonal mode.
+        """
+        m = cls.__new__(cls)
+        m.layout, m.diag, m.row, m.initialized = layout, diag, row, False
+        return m
+
+    @property
+    def quasi(self) -> bool:
+        return self.row is not None
 
     # -- accumulation ------------------------------------------------------
 
@@ -149,10 +163,10 @@ class QDMetric:
 
         Used by the batched training path, which forms the minibatch-averaged
         diag and row contributions with matrix products instead of looping
-        over per-sample rank-one updates.
+        over per-sample rank-one updates. row_inc is None in diagonal mode.
         """
         axpy(self.diag, alpha, diag_inc)
-        if self.quasi and row_inc is not None:
+        if self.row is not None:
             axpy(self.row, alpha, row_inc)
 
     def decay(self, gamma: float) -> None:
@@ -160,7 +174,7 @@ class QDMetric:
         if not (0.0 <= gamma <= 1.0):
             raise MetricError(f"decay weight must be in [0, 1], got {gamma}")
         self.diag *= 1.0 - gamma
-        if self.quasi:
+        if self.row is not None:
             self.row *= 1.0 - gamma
 
     def updated(self, diag_batch: np.ndarray, row_batch, gamma: float) -> "QDMetric":
@@ -168,13 +182,12 @@ class QDMetric:
 
         g is gamma, or 1 for the first minibatch of an uninitialized metric.
         The result is built in the minibatch arrays and takes them over
-        (row_batch is None in diagonal mode, where the result shares this
-        metric's zero row), so the update allocates no dim-sized array, and
-        a caller that drops the result keeps the metric it had.
+        (row_batch is None in diagonal mode), so the update allocates no
+        dim-sized array, and a caller that drops the result keeps the
+        metric it had.
         """
         g = gamma if self.initialized else 1.0
-        new = QDMetric(self.layout, self.quasi, diag_batch,
-                       row_batch if self.quasi else self.row)
+        new = QDMetric.from_arrays(self.layout, diag_batch, row_batch)
         new.decay(1.0 - g)  # g M_batch
         new.add_terms(self.diag, self.row, 1.0 - g)
         new.initialized = True
@@ -251,7 +264,8 @@ class QDMetric:
     # -- inspection --------------------------------------------------------
 
     def copy(self) -> "QDMetric":
-        m = QDMetric(self.layout, self.quasi, self.diag.copy(), self.row.copy())
+        row = None if self.row is None else self.row.copy()
+        m = QDMetric.from_arrays(self.layout, self.diag.copy(), row)
         m.initialized = self.initialized
         return m
 

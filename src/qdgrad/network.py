@@ -11,8 +11,10 @@ segment, with the bias stored as column 0 of every row. Every pass over a
 masked layer (forward, backprop, gradient, metric terms) costs in
 proportion to its stored entries, not to n * m.
 
-Activations are carried with a leading column of ones, [1|a], so the bias
-is just the weight of a constant input. The output layer is linear; output
+Inputs are batches: forward takes a (B, sizes[0]) array and every array of
+a trace has B rows; one sample is a one-row batch. Activations are
+carried with a leading column of ones, [1|a], so the bias is just the
+weight of a constant input. The output layer is linear; output
 models apply their own link function.
 
 Besides the plain gradient, backprop exposes the per-layer delta matrices
@@ -90,12 +92,11 @@ class ForwardTrace:
     hidden: list  # pre-dropout activations h_1 .. h_(L-1)
     masks: list  # dropout masks with entries in {0, 1/(1-p)}, or None
     version: int
-    single: bool
 
     @property
     def output(self):
-        y = self.pre_activations[-1]
-        return y[0] if self.single else y
+        """The (B, K) pre-activation of the linear output layer."""
+        return self.pre_activations[-1]
 
 
 def make_sparse_layout(sizes, fan_in, rng):
@@ -286,9 +287,8 @@ class Network:
         if mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
+        if x.ndim != 2:
+            raise ValueError("input must be a (B, n) batch; one sample is a one-row batch")
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"input width {x.shape[1]} != {self.sizes[0]}")
         drop = self.dropout if mode == "train" else 0.0
@@ -320,7 +320,7 @@ class Network:
                 masks.append(None)
             hidden.append(h)
             inputs.append(a)
-        return ForwardTrace(inputs, pre, hidden, masks, self.version, single)
+        return ForwardTrace(inputs, pre, hidden, masks, self.version)
 
     def backprop_deltas(self, trace: ForwardTrace, output_grad) -> list:
         """Per-layer pre-activation sensitivities for an output seed.
@@ -330,10 +330,8 @@ class Network:
         if trace.version != self.version:
             raise StaleTraceError("trace predates the current parameters")
         g = np.asarray(output_grad, dtype=float)
-        if trace.single and g.ndim == 1:
-            g = g[None, :]
         if g.shape != trace.pre_activations[-1].shape:
-            raise ValueError("output_grad does not match the trace")
+            raise ValueError("output_grad must be a (B, K) array shaped like the trace output")
         deltas = [None] * self.n_layers
         deltas[-1] = g
         d = g
@@ -364,8 +362,8 @@ class Network:
     def backprop(self, trace: ForwardTrace, output_grad) -> ParamVector:
         """Gradient of <output_grad, y> w.r.t. the flat parameters.
 
-        For a batched trace the result is summed over samples; divide by the
-        batch size for a mean.
+        The result is summed over the batch; divide by the batch size for a
+        mean.
         """
         return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 

@@ -56,8 +56,8 @@ class OptimizerConfig:
             raise ValueError("eta must be a positive finite step-size")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError("epsilon must be a nonnegative finite number")
         if self.n_mc < 1:
             raise ValueError("n_mc must be at least 1")
 
@@ -95,7 +95,7 @@ class OptimizerState:
     def commit(self, metric: QDMetric) -> None:
         """Keep metric, built in the spare pair, and make the old pair the spare."""
         old = self.metric
-        self.spare = (old.diag, old.row if old.quasi else None)
+        self.spare = (old.diag, old.row)
         self.metric = metric
 
 
@@ -147,12 +147,11 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
     output variances (a plain SGD step with the same eta) and the step
     count. A step that raises leaves all of them as they were.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    b = inputs.shape[0]
     # overflow here surfaces as a DivergenceError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         trace = net.forward(inputs, mode="train", rng=rng)
-        y = trace.pre_activations[-1]
+        y = trace.output
+        b = y.shape[0]
         loss = float(np.mean(model.loss(y, targets)))
         grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
         grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
@@ -191,14 +190,22 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
 
 
 def metric_warmup(net, model, inputs, targets, state, cfg, rng=None) -> None:
-    """Initialize the metric on a batch with total weight 1, no param write."""
+    """Initialize the metric on a batch with total weight 1, no param write.
+
+    Raises DivergenceError, leaving the metric as it was, if the new metric
+    is not finite.
+    """
     if state.metric is None:
         return
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[0] == 0:
+    if len(inputs) == 0:
         raise ValueError("warmup needs at least one sample")
-    trace = net.forward(inputs, mode="train", rng=rng)
-    y = trace.pre_activations[-1]
-    grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
-    diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
-    state.commit(state.metric.updated(diag, row, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = net.forward(inputs, mode="train", rng=rng)
+        y = trace.output
+        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
+        diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
+        metric = state.metric.updated(diag, row, 1.0)
+    if not (np.isfinite(metric.diag).all()
+            and (metric.row is None or np.isfinite(metric.row).all())):
+        raise DivergenceError("non-finite metric", eta=cfg.eta)
+    state.commit(metric)

@@ -4,9 +4,9 @@ The network's last layer is linear; each model owns its link function. For
 the categorical model the network output holds softmax logits, for the
 Bernoulli model per-unit logits, and for the Gaussian model the mean itself.
 
-All methods are batched: y has shape (B, K), targets are (B,) class indices
-for the categorical model and (B, K) vectors otherwise. One-dimensional
-inputs are promoted and the corresponding results squeezed back.
+All methods take batches: y has shape (B, K), targets are (B,) class
+indices for the categorical model and (B, K) vectors otherwise, and the
+results have one row or entry per sample. One sample is a one-row batch.
 
 Fisher seeds are backprop vectors g such that the model's per-sample Fisher
 contribution is sum over terms of weight * (J^T g)(J^T g)^T, where J^T g is
@@ -43,19 +43,6 @@ class FisherTerm:
     weight: np.ndarray | float
 
 
-def _promote(y, t=None):
-    """Lift 1-D y (and its target) to batch form; remember to squeeze back."""
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    if single:
-        y = y[None, :]
-    if t is not None:
-        t = np.asarray(t)
-        if single:
-            t = t[None, ...]
-    return y, t, single
-
-
 class OutputModel:
     """The interface of the concrete output models."""
 
@@ -85,53 +72,40 @@ class CategoricalOutput(OutputModel):
         self.k = int(k)
 
     def probs(self, y):
-        y, _, single = _promote(y)
         z = y - np.max(y, axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
-        return p[0] if single else p
+        return p
 
     def loss(self, y, t):
-        y, t, single = _promote(y, t)
         t = np.asarray(t, dtype=np.int64)
         if np.any(t < 0) or np.any(t >= self.k):
             raise ValueError("class index out of range")
-        nll = logsumexp(y, axis=1) - y[np.arange(len(t)), t]
-        return float(nll[0]) if single else nll
+        return logsumexp(y, axis=1) - y[np.arange(len(t)), t]
 
     def loss_output_grad(self, y, t):
-        y, t, single = _promote(y, t)
         t = np.asarray(t, dtype=np.int64)
-        g = self.probs(y).copy()
+        g = np.ascontiguousarray(self.probs(y))  # backprop's rounding depends on memory order
         g[np.arange(len(t)), t] -= 1.0
-        return g[0] if single else g
+        return g
 
     def sample_pseudo_target(self, y, rng):
-        y, _, single = _promote(y)
         p = self.probs(y)
         cdf = np.cumsum(p, axis=1)
         u = rng.random((len(p), 1))
-        t = np.minimum((u > cdf).sum(axis=1), self.k - 1).astype(np.int64)
-        return t[0] if single else t
+        return np.minimum((u > cdf).sum(axis=1), self.k - 1).astype(np.int64)
 
     def enumerate_fisher_terms(self, y):
-        y, _, single = _promote(y)
         p = self.probs(y)
         terms = []
         for c in range(self.k):
             seed = p.copy()
             seed[:, c] -= 1.0
-            weight = p[:, c]
-            if single:
-                terms.append(FisherTerm(seed[0], float(weight[0])))
-            else:
-                terms.append(FisherTerm(seed, weight))
+            terms.append(FisherTerm(seed, p[:, c]))
         return terms
 
     def error(self, y, t):
-        y, t, single = _promote(y, t)
-        wrong = (np.argmax(y, axis=1) != np.asarray(t, dtype=np.int64)).astype(float)
-        return float(wrong[0]) if single else wrong
+        return (np.argmax(y, axis=1) != np.asarray(t, dtype=np.int64)).astype(float)
 
 
 class GaussianOutput(OutputModel):
@@ -158,52 +132,35 @@ class GaussianOutput(OutputModel):
         return np.exp(self.log_sigma)
 
     def loss(self, y, t):
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
         s2 = np.exp(2.0 * self.log_sigma)
         r = y - t
         nll = 0.5 * np.sum(r * r / s2, axis=1)
         nll += np.sum(self.log_sigma) + 0.5 * self.k * np.log(2.0 * np.pi)
-        return float(nll[0]) if single else nll
+        return nll
 
     def loss_output_grad(self, y, t):
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
-        g = (y - t) / np.exp(2.0 * self.log_sigma)
-        return g[0] if single else g
+        return (y - t) / np.exp(2.0 * self.log_sigma)
 
     def sample_pseudo_target(self, y, rng):
-        y, _, single = _promote(y)
-        t = y + self.sigma * rng.standard_normal(y.shape)
-        return t[0] if single else t
+        return y + self.sigma * rng.standard_normal(y.shape)
 
     def enumerate_fisher_terms(self, y):
-        y, _, single = _promote(y)
-        b = len(y)
         inv_s2 = np.exp(-2.0 * self.log_sigma)
         terms = []
         for c in range(self.k):
-            seed = np.zeros((b, self.k))
+            seed = np.zeros((len(y), self.k))
             seed[:, c] = 1.0
-            w = float(inv_s2[c])
-            terms.append(FisherTerm(seed[0] if single else seed, w))
+            terms.append(FisherTerm(seed, float(inv_s2[c])))
         return terms
 
     def error(self, y, t):
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
-        mse = np.mean((y - t) ** 2, axis=1)
-        return float(mse[0]) if single else mse
+        return np.mean((y - t) ** 2, axis=1)
 
     # -- learned-variance extras -------------------------------------------
 
     def variance_grad(self, y, t):
         """d loss / d log sigma_k, per sample."""
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
-        r2 = (y - t) ** 2
-        g = 1.0 - r2 * np.exp(-2.0 * self.log_sigma)
-        return g[0] if single else g
+        return 1.0 - (y - t) ** 2 * np.exp(-2.0 * self.log_sigma)
 
     def variance_step(self, grad_mean, eta):
         if not self.learn_variance:
@@ -223,54 +180,34 @@ class BernoulliOutput(OutputModel):
         self.k = int(k)
 
     def probs(self, y):
-        y, _, single = _promote(y)
-        p = np.clip(expit(y), BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
-        return p[0] if single else p
+        return np.clip(expit(y), BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
 
     def loss(self, y, t):
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
         p = self.probs(y)
-        nll = -np.sum(t * np.log(p) + (1.0 - t) * np.log1p(-p), axis=1)
-        return float(nll[0]) if single else nll
+        return -np.sum(t * np.log(p) + (1.0 - t) * np.log1p(-p), axis=1)
 
     def loss_output_grad(self, y, t):
         # exact d/d logit of the unclamped loss; the clamp only guards logs
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
-        g = expit(y) - t
-        return g[0] if single else g
+        return expit(y) - t
 
     def sample_pseudo_target(self, y, rng):
-        y, _, single = _promote(y)
         p = self.probs(y)
-        t = (rng.random(p.shape) < p).astype(float)
-        return t[0] if single else t
+        return (rng.random(p.shape) < p).astype(float)
 
     def enumerate_fisher_terms(self, y):
         # Unit k contributes (1 / p(1-p)) (J^T s)(J^T s)^T with s the
         # derivative of the unit's mean w.r.t. its logit, p(1-p) e_k.
-        y, _, single = _promote(y)
         p = self.probs(y)
         var = p * (1.0 - p)
-        b = len(p)
         terms = []
         for c in range(self.k):
-            seed = np.zeros((b, self.k))
+            seed = np.zeros((len(p), self.k))
             seed[:, c] = var[:, c]
-            w = 1.0 / var[:, c]
-            if single:
-                terms.append(FisherTerm(seed[0], float(w[0])))
-            else:
-                terms.append(FisherTerm(seed, w))
+            terms.append(FisherTerm(seed, 1.0 / var[:, c]))
         return terms
 
     def error(self, y, t):
-        y, t, single = _promote(y, t)
-        t = np.asarray(t, dtype=float)
-        p = self.probs(y)
-        mse = np.mean((p - t) ** 2, axis=1)
-        return float(mse[0]) if single else mse
+        return np.mean((self.probs(y) - t) ** 2, axis=1)
 
 
 def make_output_model(kind: str, k: int) -> OutputModel:

@@ -157,10 +157,10 @@ def suite_qdsolve_oracle(seed=0, n_matrices=1000, tol_pair=1e-8,
 
 
 def _jacobian(net, x):
-    """Rows J_k = d y_k / d theta at one input."""
+    """Rows J_k = d y_k / d theta at one input, a one-row batch x."""
     tr = net.forward(x, mode="eval")
     k = net.sizes[-1]
-    return np.stack([net.backprop(tr, np.eye(k)[c]) for c in range(k)]), tr
+    return np.stack([net.backprop(tr, np.eye(k)[c : c + 1]) for c in range(k)]), tr
 
 
 def suite_fisher_consistency(seed=0, n_draws=100_000) -> CheckResult:
@@ -169,12 +169,12 @@ def suite_fisher_consistency(seed=0, n_draws=100_000) -> CheckResult:
     sizes = [4, 2, 3]
     net = Network(sizes, "sigmoid")
     net.init_params(rng)
-    x = rng.uniform(0.0, 1.0, size=4)
+    x = rng.uniform(0.0, 1.0, size=(1, 4))
     jac, tr = _jacobian(net, x)
 
     # categorical: t ~ softmax(y); counts give the exact MC average cheaply
     cat = CategoricalOutput(3)
-    p = cat.probs(tr.output)
+    p = cat.probs(tr.output)[0]
     vs = np.stack([jac.T @ (p - np.eye(3)[c]) for c in range(3)])
     outers = np.einsum("ci,cj->cij", vs, vs)
     exact_cat = np.einsum("c,cij->ij", p, outers)

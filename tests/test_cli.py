@@ -99,6 +99,8 @@ def test_train_divergence_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("extra, message", [
     (["--sparsity", "-1"], "fan_in must be at least 1, got -1"),
     (["--output", "categorical"], "categorical output needs class targets"),
+    (["--epsilon", "nan"], "epsilon must be a nonnegative finite number"),
+    (["--batch-size", "0"], "batch size must be at least 1, got 0"),
 ])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, message):
     # status 2 with the message, not a traceback; status 1 means "diverged"

@@ -1,13 +1,12 @@
-"""Data layer tests: format round-trips, normalization, transforms, batching."""
+"""Data layer tests: format round-trips, normalization, inversion, batching."""
 
 import numpy as np
 import pytest
 
 from qdgrad.data import (
     Dataset,
-    TransformSpec,
-    apply_transform,
     generate_eeg,
+    invert_features,
     load_csv,
     load_idx,
     minibatches,
@@ -176,43 +175,28 @@ def test_minibatch_order_deterministic_and_shuffled():
 
 
 # ---------------------------------------------------------------------------
-# Transforms
+# Inversion
 # ---------------------------------------------------------------------------
 
 
 def test_invert_values_and_involution():
     ds = Dataset(np.array([[0.25, 1.0], [0.0, 0.5]]), None, "self")
-    inv = apply_transform(ds, TransformSpec(invert=True))
+    inv = invert_features(ds)
     np.testing.assert_array_equal(inv.features, [[0.75, 0.0], [1.0, 0.5]])
-    back = apply_transform(inv, TransformSpec(invert=True))
+    back = invert_features(inv)
     np.testing.assert_array_equal(back.features, ds.features)
 
 
 def test_invert_requires_unit_range():
     ds = Dataset(np.array([[1.5]]), None, "self")
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        apply_transform(ds, TransformSpec(invert=True))
-
-
-def test_scale_shift_hand_values():
-    ds = Dataset(np.array([[0.0, 0.5, 1.0]]), None, "self")
-    out = apply_transform(ds, TransformSpec(scale=2.0, shift=-0.5))
-    np.testing.assert_allclose(out.features, [[-0.5, 0.5, 1.5]])
-
-
-def test_shuffle_permutes_columns_reproducibly():
-    x = np.arange(12.0).reshape(3, 4) / 11.0
-    ds = Dataset(x, None, "self")
-    a = apply_transform(ds, TransformSpec(shuffle_seed=9))
-    b = apply_transform(ds, TransformSpec(shuffle_seed=9))
-    np.testing.assert_array_equal(a.features, b.features)
-    assert sorted(map(tuple, a.features.T.tolist())) == sorted(map(tuple, x.T.tolist()))
+        invert_features(ds)
 
 
 def test_transform_preserves_class_targets_and_split():
     ds = Dataset(np.array([[0.1], [0.9]]), np.array([0, 1]), "class", 2,
                  train_idx=np.array([0]), valid_idx=np.array([1]))
-    out = apply_transform(ds, TransformSpec(invert=True))
+    out = invert_features(ds)
     np.testing.assert_array_equal(out.targets, ds.targets)
     np.testing.assert_array_equal(out.valid_idx, ds.valid_idx)
     assert out.n_classes == 2
@@ -220,7 +204,7 @@ def test_transform_preserves_class_targets_and_split():
 
 def test_self_targets_track_transformed_features():
     ds = Dataset(np.array([[0.2, 0.4]]), None, "self")
-    out = apply_transform(ds, TransformSpec(invert=True))
+    out = invert_features(ds)
     np.testing.assert_array_equal(out.target_batch(np.array([0])), [[0.8, 0.6]])
 
 
@@ -236,6 +220,8 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), None, "classes")
     with pytest.raises(ValueError, match="range"):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), "class", n_classes=3)
+    with pytest.raises(ValueError, match="2-D"):  # one sample's targets are a one-row array
+        Dataset(np.zeros((1, 2)), np.ones(3), "vector")
     ds = Dataset(np.zeros((3, 2)), np.array([0, 2, 1]), "class")
     assert ds.n_classes == 3
     assert ds.n_outputs == 3

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qdgrad.data import Dataset, TransformSpec, apply_transform
+from qdgrad import harness
+from qdgrad.data import Dataset, invert_features
 from qdgrad.harness import (
     DEFAULT_ETA_GRID,
     LOG_COLUMNS,
@@ -130,7 +131,7 @@ def test_invert_inputs_flag_equals_pretransformed_data(subset_of):
     ds = subset_of(300, 50)
     cfg = small_config(epochs=1, invert_inputs=True, seed=3)
     a = run_training(ds, cfg)
-    pre = apply_transform(ds, TransformSpec(invert=True))
+    pre = invert_features(ds)
     b = run_training(pre, small_config(epochs=1, seed=3))
     for ra, rb in zip(a.rows, b.rows):
         assert rows_equal_modulo_wall(ra, rb)
@@ -254,6 +255,25 @@ def test_benchmark_shapes_and_sgd_ratio(subset_of):
     assert lines[0].startswith("algo,")
     with pytest.raises(ValueError):
         benchmark(ds, cfg, algos=["sgd"], epochs=2)
+
+
+def test_benchmark_builds_every_run_then_times_epochs_round_robin(subset_of, monkeypatch):
+    events = []
+    build, epoch = harness._build, harness._epoch
+
+    def traced_build(ds, config):
+        events.append(("build", config.algo))
+        return build(ds, config)
+
+    def traced_epoch(ds, batch_size, net, model, state, cfg, rng):
+        events.append(("epoch", cfg.algo))
+        epoch(ds, batch_size, net, model, state, cfg, rng)
+
+    monkeypatch.setattr(harness, "_build", traced_build)
+    monkeypatch.setattr(harness, "_epoch", traced_epoch)
+    benchmark(subset_of(200), small_config(arch=[784, 8, 10]), algos=["qdop", "dop"], epochs=3)
+    algos = ["sgd", "qdop", "dop"]
+    assert events == [("build", a) for a in algos] + [("epoch", a) for a in algos] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -83,17 +83,17 @@ def random_net(rng, sizes, activation="sigmoid", masks=None, dropout=0.0, scale=
 
 def test_zero_params_sigmoid_outputs_zero():
     net = Network([4, 3, 2], "sigmoid")
-    y = net.forward(np.ones(4), mode="eval").output
+    y = net.forward(np.ones((1, 4)), mode="eval").output
     # hidden activities are sigmoid(0) = 0.5 but output weights are zero
     assert np.all(y == 0.0)
-    tr = net.forward(np.ones(4), mode="eval")
+    tr = net.forward(np.ones((1, 4)), mode="eval")
     assert np.all(tr.hidden[0] == 0.5)
 
 
 def test_forward_frozen_scalar_chain():
     net = Network([1, 1, 1], "tanh")
     net.set_params(np.array([-1.0, 2.0, 0.5, 3.0]))  # b1, w1, b2, w2
-    y = net.forward(np.array([0.8]), mode="eval").output
+    y = net.forward(np.array([[0.8]]), mode="eval").output[0]
     expected = 0.5 + 3.0 * math.tanh(2.0 * 0.8 - 1.0)
     assert abs(float(y[0]) - expected) < 1e-14
 
@@ -105,7 +105,7 @@ def test_forward_matches_loop_oracle(activation):
     net = random_net(rng, sizes, activation)
     for _ in range(5):
         x = rng.standard_normal(5)
-        y = net.forward(x, mode="eval").output
+        y = net.forward(x[None], mode="eval").output[0]
         ref = loop_forward(sizes, activation, [P[:, 1:] for P in net.layers],
                            [P[:, 0] for P in net.layers], x)
         np.testing.assert_allclose(y, ref, atol=1e-12)
@@ -118,19 +118,28 @@ def test_forward_batch_rows_match_single():
     Y = net.forward(X, mode="eval").output
     assert Y.shape == (7, 3)
     for s in range(7):
-        np.testing.assert_allclose(Y[s], net.forward(X[s], mode="eval").output, atol=0)
+        np.testing.assert_allclose(Y[s], net.forward(X[s][None], mode="eval").output[0], atol=0)
 
 
 def test_forward_input_width_checked():
     net = Network([3, 2], "relu")
     with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+        net.forward(np.zeros((1, 4)))
+
+
+def test_forward_and_backprop_deltas_reject_1d_arrays():
+    net = Network([3, 2], "relu")
+    with pytest.raises(ValueError, match="batch"):
+        net.forward(np.zeros(3))
+    tr = net.forward(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="\\(B, K\\)"):
+        net.backprop_deltas(tr, np.zeros(2))
 
 
 def test_linear_output_layer_has_no_activation():
     net = Network([2, 2], "sigmoid")
     net.set_params(np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0]))
-    y = net.forward(np.array([3.0, -9.0]), mode="eval").output
+    y = net.forward(np.array([[3.0, -9.0]]), mode="eval").output[0]
     np.testing.assert_allclose(y, [-6.0, -6.0])  # raw affine values, unsquashed
 
 
@@ -270,8 +279,8 @@ def test_init_sparse_uses_effective_fans():
 def test_backprop_matches_finite_differences(activation):
     rng = np.random.default_rng(21)
     net = random_net(rng, [4, 3, 3, 2], activation)
-    x = rng.standard_normal(4)
-    c = rng.standard_normal(2)
+    x = rng.standard_normal(4)[None]
+    c = rng.standard_normal(2)[None]
     tr = net.forward(x, mode="eval")
     g = net.backprop(tr, c)
     ref = fd_grad(net, x, c)
@@ -282,8 +291,8 @@ def test_backprop_masked_matches_finite_differences():
     rng = np.random.default_rng(22)
     masks = make_sparse_layout([5, 4, 2], fan_in=2, rng=rng)
     net = random_net(rng, [5, 4, 2], "tanh", masks=masks)
-    x = rng.standard_normal(5)
-    c = np.array([1.0, -2.0])
+    x = rng.standard_normal(5)[None]
+    c = np.array([[1.0, -2.0]])
     tr = net.forward(x, mode="eval")
     np.testing.assert_allclose(net.backprop(tr, c), fd_grad(net, x, c), rtol=1e-5, atol=1e-7)
 
@@ -297,26 +306,26 @@ def test_backprop_batch_is_sum_of_samples():
     g = net.backprop(tr, C)
     ref = np.zeros_like(g)
     for s in range(6):
-        ts = net.forward(X[s], mode="eval")
-        ref += net.backprop(ts, C[s])
+        ts = net.forward(X[s][None], mode="eval")
+        ref += net.backprop(ts, C[s][None])
     np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_relu_derivative_is_zero_at_kink():
     net = Network([1, 1, 1], "relu")
     net.set_params(np.array([0.0, 1.0, 2.0, 5.0]))  # z1 = x, y = 2 + 5 relu(x)
-    tr = net.forward(np.array([0.0]), mode="eval")
-    g = net.backprop(tr, np.array([1.0]))
+    tr = net.forward(np.array([[0.0]]), mode="eval")
+    g = net.backprop(tr, np.array([[1.0]]))
     np.testing.assert_array_equal(g, [0.0, 0.0, 1.0, 0.0])  # only b2 responds
 
 
 def test_stale_trace_rejected():
     rng = np.random.default_rng(24)
     net = random_net(rng, [2, 2, 1], "tanh")
-    tr = net.forward(np.zeros(2), mode="eval")
+    tr = net.forward(np.zeros((1, 2)), mode="eval")
     net.set_params(net.get_params() * 1.001)
     with pytest.raises(StaleTraceError):
-        net.backprop(tr, np.array([1.0]))
+        net.backprop(tr, np.array([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +348,8 @@ def test_qd_batch_terms_match_per_sample_rank_one(quasi):
 
     ref = QDMetric(net.layout, quasi=quasi)
     for s in range(8):
-        ts = net.forward(X[s], mode="eval")
-        v = net.backprop(ts, C[s])
+        ts = net.forward(X[s][None], mode="eval")
+        v = net.backprop(ts, C[s][None])
         ref.rank_one_update(v, w[s])
     np.testing.assert_allclose(diag, ref.diag, rtol=1e-11, atol=1e-13)
     if quasi:
@@ -456,7 +465,7 @@ def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
 def test_dropout_eval_is_identity_and_train_needs_rng():
     rng = np.random.default_rng(41)
     net = random_net(rng, [4, 8, 2], "sigmoid", dropout=0.5)
-    x = rng.standard_normal(4)
+    x = rng.standard_normal(4)[None]
     clean = Network([4, 8, 2], "sigmoid")
     clean.set_params(net.get_params())
     np.testing.assert_array_equal(
@@ -469,7 +478,7 @@ def test_dropout_eval_is_identity_and_train_needs_rng():
 def test_dropout_mask_values_and_scaling():
     rng = np.random.default_rng(42)
     net = random_net(rng, [3, 200, 1], "sigmoid", dropout=0.25)
-    tr = net.forward(rng.standard_normal(3), mode="train", rng=np.random.default_rng(7))
+    tr = net.forward(rng.standard_normal(3)[None], mode="train", rng=np.random.default_rng(7))
     mask = tr.masks[0]
     vals = np.unique(mask)
     assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 0.75, 12)}
@@ -481,9 +490,9 @@ def test_dropout_mask_values_and_scaling():
 def test_dropout_gradients_use_the_sampled_mask():
     rng = np.random.default_rng(43)
     net = random_net(rng, [3, 6, 2], "tanh", dropout=0.5)
-    x = rng.standard_normal(3)
+    x = rng.standard_normal(3)[None]
     tr = net.forward(x, mode="train", rng=np.random.default_rng(11))
-    c = np.array([1.0, 1.0])
+    c = np.array([[1.0, 1.0]])
     g = net.backprop(tr, c)
     # dropped units contribute no gradient to their incoming block
     dropped = np.where(tr.masks[0][0] == 0.0)[0]
@@ -503,7 +512,7 @@ def test_tanh_equivalent_computes_same_function():
     twin = to_tanh_equivalent(net)
     assert twin.activation == "tanh"
     for _ in range(20):
-        x = rng.standard_normal(4)
+        x = rng.standard_normal(4)[None]
         y1 = net.forward(x, mode="eval").output
         y2 = twin.forward(x, mode="eval").output
         np.testing.assert_allclose(y1, y2, rtol=0, atol=1e-12)
@@ -520,7 +529,7 @@ def test_inverted_inputs_computes_same_function():
     net = random_net(rng, [6, 4, 2], "sigmoid", masks=masks)
     twin = to_inverted_inputs(net)
     for _ in range(20):
-        x = rng.uniform(0.0, 1.0, size=6)
+        x = rng.uniform(0.0, 1.0, size=6)[None]
         y1 = net.forward(x, mode="eval").output
         y2 = twin.forward(1.0 - x, mode="eval").output
         np.testing.assert_allclose(y1, y2, rtol=0, atol=1e-12)
@@ -560,7 +569,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert isinstance(model2, GaussianOutput)
     np.testing.assert_allclose(model2.sigma, [1.0, 0.5, 2.0], rtol=1e-15)
     assert model2.learn_variance is True
-    x = rng.standard_normal(5)
+    x = rng.standard_normal(5)[None]
     np.testing.assert_array_equal(
         net.forward(x, mode="eval").output, net2.forward(x, mode="eval").output
     )

@@ -113,6 +113,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig("sgd", 0.1, epsilon=-1e-9)
     with pytest.raises(ValueError):
+        OptimizerConfig("sgd", 0.1, epsilon=float("nan"))
+    with pytest.raises(ValueError):
         OptimizerConfig("dmcnat", 0.1, n_mc=0)
     assert OptimizerConfig("qdnat", 0.1).quasi
     assert not OptimizerConfig("dnat", 0.1).quasi
@@ -174,12 +176,15 @@ def test_identity_metric_reduces_to_sgd():
 
 
 def output_fisher(model, y):
-    """The output model's Fisher matrix in output space at one sample's output y."""
+    """The output model's Fisher matrix in output space at one sample's output y.
+
+    y is that sample's output as a one-row batch.
+    """
     if model.kind == "categorical":
-        p = model.probs(y)
+        p = model.probs(y)[0]
         return np.diag(p) - np.outer(p, p)
     if model.kind == "bernoulli":
-        p = model.probs(y)
+        p = model.probs(y)[0]
         return np.diag(p * (1.0 - p))
     return np.diag(1.0 / model.sigma**2)
 
@@ -215,8 +220,8 @@ def test_qdnat_first_step_matches_dense_fisher_reduction(algo, kind, masked):
     dense = np.zeros((net.layout.dim, net.layout.dim))
     if algo == "qdnat":
         for s in range(batch):
-            tr = net.forward(X[s], mode="eval")
-            J = np.array([net.backprop(tr, e) for e in np.eye(k)])
+            tr = net.forward(X[s][None], mode="eval")
+            J = np.array([net.backprop(tr, e[None]) for e in np.eye(k)])
             dense += J.T @ output_fisher(model, tr.output) @ J / batch
     else:
         Y = net.forward(X, mode="eval").output
@@ -224,8 +229,8 @@ def test_qdnat_first_step_matches_dense_fisher_reduction(algo, kind, masked):
         for _ in range(cfg.n_mc):
             pseudo = model.sample_pseudo_target(Y, draws)
             for s in range(batch):
-                tr = net.forward(X[s], mode="eval")
-                v = net.backprop(tr, model.loss_output_grad(tr.output, pseudo[s]))
+                tr = net.forward(X[s][None], mode="eval")
+                v = net.backprop(tr, model.loss_output_grad(tr.output, pseudo[s][None]))
                 dense += np.outer(v, v) / (batch * cfg.n_mc)
     ref = qd_reduce(dense, net.layout, quasi=True)
 
@@ -272,6 +277,27 @@ def test_metric_warmup_equals_first_step_metric_and_is_linear():
 
     with pytest.raises(ValueError):
         metric_warmup(net, model, X[:0], T[:0], OptimizerState(net, cfg), cfg)
+
+
+@pytest.mark.parametrize("algo", ["dop", "qdop"])
+def test_metric_warmup_raises_on_a_non_finite_metric_and_keeps_the_state(algo):
+    rng = np.random.default_rng(6)
+    net = Network([3, 4, 2], "sigmoid")
+    net.init_params(rng)
+    model = GaussianOutput(2)
+    X = rng.uniform(0.0, 1.0, size=(5, 3))
+    T = rng.standard_normal((5, 2))
+    cfg = OptimizerConfig(algo, eta=0.1)
+    state = OptimizerState(net, cfg)
+    metric_warmup(net, model, X, T, state, cfg)
+    metric = state.metric.copy()
+    with np.errstate(over="raise", invalid="raise"):  # and no overflow warning either
+        with pytest.raises(DivergenceError):
+            metric_warmup(net, model, X, T * 1e300, state, cfg)
+    np.testing.assert_array_equal(state.metric.diag, metric.diag)
+    np.testing.assert_array_equal(state.metric.row, metric.row)
+    assert state.metric.initialized
+    optimizer_step(net, model, X, T, state, cfg)  # the metric is still usable
 
 
 def test_warmed_metric_solves_with_zero_epsilon():
