@@ -125,7 +125,10 @@ class TrainLog:
 
 
 def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
-    """(mean loss, mean error) over the given rows, dropout disabled."""
+    """(mean loss, mean error) over the given rows, dropout disabled.
+
+    Each chunk's forward pass runs in net.scratch, like a training step.
+    """
     if len(idx) == 0:
         return math.nan, math.nan
     loss_sum = 0.0
@@ -134,7 +137,8 @@ def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(idx), EVAL_CHUNK):
             sel = idx[lo : lo + EVAL_CHUNK]
-            y = net.forward(ds.features[sel], mode="eval").output
+            scratch = net.reset_scratch(len(sel), "eval")
+            y = net.forward(ds.features[sel], mode="eval", scratch=scratch).output
             t = ds.target_batch(sel)
             loss_sum += float(np.sum(model.loss(y, t)))
             err_sum += float(np.sum(model.error(y, t)))

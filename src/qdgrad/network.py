@@ -31,12 +31,22 @@ of P and are written straight into the layer's segment of a theta-shaped
 vector, so no per-sample gradient is ever materialized. For a masked layer
 they are these products sampled at the stored entries only:
 sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P.
+
+Every batch-sized array of a pass (layer inputs, pre-activations, dropout
+masks, backprop products, temporaries) is a new array unless the caller
+passes a Scratch: then forward, backprop_deltas and qd_batch_terms carve
+them as views of its one flat buffer, with the same shapes, memory orders
+and floats. Each network owns one, net.scratch, which the training step
+and evaluation share. reset_scratch starts a pass, and every array of the
+previous pass, its trace included, is overwritten by the next one: a
+caller that keeps a trace passes no scratch.
 """
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import _sparsetools, csc_array, csr_array
 from scipy.special import expit
 
 from .metric import CHUNK_FLOATS, BlockLayout
@@ -44,6 +54,7 @@ from .metric import CHUNK_FLOATS, BlockLayout
 __all__ = [
     "Network",
     "ForwardTrace",
+    "Scratch",
     "StaleTraceError",
     "make_sparse_layout",
     "to_tanh_equivalent",
@@ -72,15 +83,90 @@ def _act(kind, z, out=None):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _act_deriv(kind, z, h):
-    """Derivative from pre-activation z and pre-dropout activation h."""
+def _act_deriv(kind, z, h, out):
+    """Derivative from pre-activation z and pre-dropout activation h, into out."""
     if kind == "sigmoid":
-        return h * (1.0 - h)
+        return np.multiply(h, np.subtract(1.0, h, out=out), out=out)  # h * (1 - h)
     if kind == "tanh":
-        return 1.0 - h * h
+        return np.subtract(1.0, np.multiply(h, h, out=out), out=out)  # 1 - h * h
     if kind == "relu":
-        return (z > 0.0).astype(z.dtype)  # derivative at 0 is 0
+        return np.greater(z, 0.0, out=out)  # 1.0 or 0.0; the derivative at 0 is 0
     raise ValueError(f"unknown activation {kind!r}")
+
+
+class Scratch:
+    """One flat float64 buffer that a pass carves its batch-sized arrays from.
+
+    reset(floats) starts a pass that needs at most floats floats. If the
+    buffer is smaller, it frees it before allocating one of that size, so
+    a step and an evaluation of different batch sizes share one buffer,
+    sized for the larger of the two. The buffer never grows within a pass:
+    asking for more than was reset raises. take carves the next array;
+    the arrays carved inside a released() block are dropped at its end,
+    and the next ones reuse their space.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0)
+        self.top = 0  # floats in use
+
+    def reset(self, floats):
+        """Start a pass of at most floats floats; returns self."""
+        if floats > self.buf.size:
+            self.buf = None  # the old buffer goes before the new one is allocated
+            self.buf = np.empty(floats)
+        self.top = 0
+        return self
+
+    def take(self, rows, cols):
+        """An uninitialized C-order (rows, cols) view of the buffer."""
+        stop = self.top + rows * cols
+        if stop > self.buf.size:
+            raise RuntimeError(f"scratch pass needs more than the {self.buf.size} floats reset")
+        out = self.buf[self.top : stop].reshape(rows, cols)
+        self.top = stop
+        return out
+
+    @contextmanager
+    def released(self):
+        """Arrays carved inside the block are dropped at its end."""
+        top = self.top
+        try:
+            yield
+        finally:
+            self.top = top
+
+
+class _NewArrays:
+    """Stands in for a Scratch when the caller passes none: every array is new."""
+
+    def take(self, rows, cols):
+        return np.empty((rows, cols))
+
+    def released(self):
+        return nullcontext()
+
+
+_NEW_ARRAYS = _NewArrays()
+
+
+def _matmul(P, x, out):
+    """P @ x for a dense or compressed sparse P, written to the C-order out.
+
+    A sparse P runs the kernel that scipy's P @ x runs, on zeros, as scipy
+    does, so both give the same floats.
+    """
+    if isinstance(P, np.ndarray):
+        return np.matmul(P, x, out=out)
+    out.fill(0.0)
+    (M, N), k = P.shape, x.shape[1]
+    if k == 1:  # scipy's matrix-vector path
+        kernel = getattr(_sparsetools, P.format + "_matvec")
+        kernel(M, N, P.indptr, P.indices, P.data, x.ravel(), out.ravel())
+    else:
+        kernel = getattr(_sparsetools, P.format + "_matvecs")
+        kernel(M, N, k, P.indptr, P.indices, P.data, x.ravel(), out.ravel())
+    return out
 
 
 @dataclass
@@ -123,14 +209,14 @@ def make_sparse_layout(sizes, fan_in, rng):
     return masks
 
 
-def _with_ones(b, m):
+def _with_ones(b, m, scratch):
     """Uninitialized (b, 1+m) layer input [1|.], ones in column 0.
 
     Stored transposed, as (1+m, b) rows: the products P @ a.T of the
-    forward pass and the row gathers of sampled_chunks read a.T, which is
+    forward pass and the row gathers of sampled_products read a.T, which is
     then contiguous without a copy.
     """
-    a = np.empty((1 + m, b)).T
+    a = scratch.take(1 + m, b).T
     a[:, 0] = 1.0
     return a
 
@@ -198,24 +284,33 @@ class _LayerIndex:
             return self.matrix(flat).T
         return _aliased(csc_array, self.seg(flat), self.indices, self.indptr, (1 + self.m, self.n))
 
-    def sampled_chunks(self, d, a):
-        """Operands of the sampled products of a masked layer, chunk by chunk.
+    def sampled_products(self, d, a, out, out_sq=None):
+        """The products of a masked layer, sampled at its stored entries.
 
         For per-sample unit values d (B, n) and layer inputs a (B, 1+m),
-        yields (span, D, A) where span slices the layer's segment and row j
-        of D and A is d[:, r_j] and a[:, c_j] for the stored entry j of
-        [b|W] at (r_j, c_j). Then sum_s d[s, r_j] a[s, c_j] is the row-wise
-        dot of D and A.
+        writes sum_s d[s, r_j] a[s, c_j] to out[j] and sum_s d[s, r_j]
+        a[s, c_j]**2 to out_sq[j], for each stored entry j of [b|W] at
+        (r_j, c_j); either output may be None. The work runs chunk by
+        chunk: row j of the operands D and A is d[:, r_j] and a[:, c_j],
+        gathered into two chunk-sized buffers.
         """
         dT = np.ascontiguousarray(d.T)
         aT = np.ascontiguousarray(a.T)
         step = max(1, CHUNK_FLOATS // max(1, d.shape[0]))  # entries per chunk
         cuts = np.searchsorted(self.indptr, np.arange(step, self.size, step))
         bounds = np.unique(np.concatenate(([0], cuts, [self.n])))
+        D_buf, A_buf = np.empty((2, int(np.diff(self.indptr[bounds]).max()), d.shape[0]))
         for u0, u1 in zip(bounds[:-1], bounds[1:]):
             p0, p1 = self.indptr[u0], self.indptr[u1]
-            D = np.repeat(dT[u0:u1], self.degrees[u0:u1], axis=0)
-            yield slice(p0, p1), D, aT[self.indices[p0:p1]]
+            rows = np.repeat(np.arange(u0, u1), self.degrees[u0:u1])
+            # mode="clip" writes to out directly; the default buffers it
+            D = np.take(dT, rows, axis=0, out=D_buf[: p1 - p0], mode="clip")
+            A = np.take(aT, self.indices[p0:p1], axis=0, out=A_buf[: p1 - p0], mode="clip")
+            if out is not None:
+                np.einsum("ij,ij->i", D, A, out=out[p0:p1])
+            if out_sq is not None:
+                A *= A
+                np.einsum("ij,ij->i", D, A, out=out_sq[p0:p1])
 
 
 class Network:
@@ -255,6 +350,7 @@ class Network:
         self.layers = [idx.matrix(self.theta) for idx in self._index]
         self._layers_t = [idx.matrix_t(self.theta) for idx in self._index]
         self.version = 0
+        self.scratch = Scratch()
 
     # -- parameters ----------------------------------------------------------
 
@@ -283,7 +379,25 @@ class Network:
 
     # -- forward / backward ----------------------------------------------------
 
-    def forward(self, x, mode="train", rng=None) -> ForwardTrace:
+    def reset_scratch(self, b, mode, delta_sets=0) -> Scratch:
+        """net.scratch, reset for one pass over a batch of b rows.
+
+        The pass is a forward in mode, then delta_sets sets of backprop
+        deltas alive at once and the metric terms. Every array of the
+        previous pass is overwritten by this one.
+        """
+        ins = sum(1 + m for m in self.sizes[:-1])  # [1|a] per weight layer
+        floats = ins + sum(self.sizes[1:])  # and the pre-activations
+        dropout = mode == "train" and self.dropout > 0.0
+        if dropout:
+            floats += 2 * sum(self.sizes[1:-1])  # hidden activities and masks
+        floats += delta_sets * (ins - 1 - self.sizes[0])  # d @ P above the first layer
+        if dropout or delta_sets:
+            floats += max(1 + m for m in self.sizes[:-1])  # one temporary
+        return self.scratch.reset(floats * b)
+
+    def forward(self, x, mode="train", rng=None, scratch=None) -> ForwardTrace:
+        """Trace of a forward pass; its arrays are carved from scratch if given."""
         if mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
         x = np.asarray(x, dtype=float)
@@ -294,25 +408,29 @@ class Network:
         drop = self.dropout if mode == "train" else 0.0
         if drop > 0.0 and rng is None:
             raise ValueError("dropout in train mode needs an rng")
+        scratch = _NEW_ARRAYS if scratch is None else scratch
         b = x.shape[0]
-        a = _with_ones(b, self.sizes[0])
+        a = _with_ones(b, self.sizes[0], scratch)
         a[:, 1:] = x
         inputs = [a]
         pre, hidden, masks = [], [], []
         for layer, P in enumerate(self.layers):
-            z = (P @ a.T).T  # a @ P.T
+            n = P.shape[0]
+            z = _matmul(P, a.T, scratch.take(n, b)).T  # a @ P.T
             pre.append(z)
             if layer == self.n_layers - 1:
                 break  # linear output layer
-            a = _with_ones(b, z.shape[1])
+            a = _with_ones(b, n, scratch)
             if drop > 0.0:
-                h = _act(self.activation, z)
-                keep = rng.random(h.shape) >= drop
+                h = _act(self.activation, z, out=scratch.take(n, b).T)
                 # In h's memory order, column-major like z and a: keeping
                 # the mask, the activities and the deltas in one order spares
                 # a transpose copy in each later product and elementwise step.
-                mask = np.empty_like(h)
-                np.divide(keep, 1.0 - drop, out=mask)  # inverted dropout
+                mask = scratch.take(n, b).T
+                with scratch.released():
+                    keep = rng.random(out=scratch.take(b, n))
+                    np.greater_equal(keep, drop, out=keep)  # 1.0 where kept
+                    np.divide(keep, 1.0 - drop, out=mask)  # inverted dropout
                 np.multiply(h, mask, out=a[:, 1:])
                 masks.append(mask)
             else:
@@ -322,28 +440,33 @@ class Network:
             inputs.append(a)
         return ForwardTrace(inputs, pre, hidden, masks, self.version)
 
-    def backprop_deltas(self, trace: ForwardTrace, output_grad) -> list:
+    def backprop_deltas(self, trace: ForwardTrace, output_grad, scratch=None) -> list:
         """Per-layer pre-activation sensitivities for an output seed.
 
-        deltas[l] is d<output_grad, y> / d z_(l+1), shape (B, sizes[l+1]).
+        deltas[l] is d<output_grad, y> / d z_(l+1), shape (B, sizes[l+1]);
+        the last one is output_grad itself, the others are carved from
+        scratch if given.
         """
         if trace.version != self.version:
             raise StaleTraceError("trace predates the current parameters")
         g = np.asarray(output_grad, dtype=float)
         if g.shape != trace.pre_activations[-1].shape:
             raise ValueError("output_grad must be a (B, K) array shaped like the trace output")
+        scratch = _NEW_ARRAYS if scratch is None else scratch
+        b = len(g)
         deltas = [None] * self.n_layers
         deltas[-1] = g
         d = g
         for layer in range(self.n_layers - 1, 0, -1):
-            # d @ P, a fresh array, so the products below work in place;
+            # d @ P, a new array, so the products below work in place;
             # column 0 is the bias
-            d = (self._layers_t[layer] @ d.T).T[:, 1:]
+            Pt = self._layers_t[layer]
+            d = _matmul(Pt, d.T, scratch.take(Pt.shape[0], b)).T[:, 1:]
             if trace.masks[layer - 1] is not None:
                 d *= trace.masks[layer - 1]
-            d *= _act_deriv(
-                self.activation, trace.pre_activations[layer - 1], trace.hidden[layer - 1]
-            )
+            z, h = trace.pre_activations[layer - 1], trace.hidden[layer - 1]
+            with scratch.released():
+                d *= _act_deriv(self.activation, z, h, scratch.take(z.shape[1], b).T)
             deltas[layer - 1] = d
         return deltas
 
@@ -353,10 +476,8 @@ class Network:
         for idx, d, a in zip(self._index, deltas, trace.inputs):
             if idx.dense:
                 np.matmul(d.T, a, out=idx.matrix(grad))
-                continue
-            seg = idx.seg(grad)
-            for span, D, A in idx.sampled_chunks(d, a):
-                np.einsum("ij,ij->i", D, A, out=seg[span])
+            else:
+                idx.sampled_products(d, a, idx.seg(grad))
         return grad
 
     def backprop(self, trace: ForwardTrace, output_grad) -> ParamVector:
@@ -367,7 +488,8 @@ class Network:
         """
         return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
-    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True, out=None):
+    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True, out=None,
+                       scratch=None):
         """Metric terms from per-layer summed weighted squared deltas.
 
         sq_deltas[l] is the (B, sizes[l+1]) array sum_c w_c d_c**2 over
@@ -377,24 +499,22 @@ class Network:
             diag = sum_s,c w_sc v_sc**2,  row_i = sum_s,c w_sc v_sc0 v_sci,
         where v_sc is the per-sample gradient for seed c. row is None in
         diagonal mode. With out = (diag, row), the terms are written there
-        (out's row is ignored in diagonal mode).
+        (out's row is ignored in diagonal mode). The temporary [1|a**2] of
+        a dense layer is carved from scratch if given.
         """
+        scratch = _NEW_ARRAYS if scratch is None else scratch
         if out is None:
             out = np.empty(self.layout.dim), np.empty(self.layout.dim) if quasi else None
         diag, row = out[0], out[1] if quasi else None
         for idx, q, a in zip(self._index, sq_deltas, trace.inputs):
             if idx.dense:
-                np.matmul(q.T, a * a, out=idx.matrix(diag))
+                with scratch.released():
+                    sq = np.multiply(a, a, out=scratch.take(*a.T.shape).T)  # a's memory order
+                    np.matmul(q.T, sq, out=idx.matrix(diag))
                 if quasi:
                     np.matmul(q.T, a, out=idx.matrix(row))
             else:
-                diag_seg = idx.seg(diag)
-                row_seg = idx.seg(row) if quasi else None
-                for span, D, A in idx.sampled_chunks(q, a):
-                    if quasi:
-                        np.einsum("ij,ij->i", D, A, out=row_seg[span])
-                    A *= A
-                    np.einsum("ij,ij->i", D, A, out=diag_seg[span])
+                idx.sampled_products(q, a, idx.seg(row) if quasi else None, idx.seg(diag))
             if quasi:
                 idx.seg(row)[idx.indptr[:-1]] = 0.0  # a bias has no row entry with itself
         return diag, row

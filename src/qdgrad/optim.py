@@ -14,6 +14,7 @@ AdaGrad keeps the identical accumulator as the diagonal op variant but
 applies exponent -1/2 instead of -1 in the preconditioner.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ ALGOS = ("sgd", "adagrad", "dop", "qdop", "dmcnat", "qdmcnat", "dnat", "qdnat")
 
 
 class DivergenceError(RuntimeError):
-    """A step produced a non-finite loss or direction; parameters untouched."""
+    """A step produced a non-finite quantity, named in the message; nothing was written."""
 
     def __init__(self, message, eta=None):
         super().__init__(message)
@@ -106,63 +107,90 @@ class StepReport:
     step_norm: float
 
 
-def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None):
+def _delta_sets(cfg) -> int:
+    """Sets of backprop deltas a step of cfg keeps alive at once.
+
+    The gradient's; for mcnat and nat the first metric term's too, whose
+    weighted squares the later terms add to, one at a time.
+    """
+    if cfg.algo in ("sgd", "adagrad", "dop", "qdop"):
+        return 1
+    return 2 if cfg.algo.endswith("mcnat") and cfg.n_mc == 1 else 3
+
+
+def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None, scratch=None):
     """Minibatch-averaged metric contribution (diag, row) for cfg.algo.
 
-    Each algorithm lists its (deltas, weight) terms, a weight being a scalar
-    or one per sample. The metric depends on the terms only through the sum
-    of weight * deltas**2 per layer, so that sum is formed first and the
-    activation products run once, however many terms there are. The terms
-    are written to out, a (diag, row) pair, if given.
+    Each algorithm lists its (output seed, weight) terms, a weight being a
+    scalar or one per sample; adagrad and the op variants use the
+    gradient's deltas, grad_deltas. The metric depends on the terms only
+    through the sum of weight * deltas**2 per layer, so that sum is formed
+    first, in place over the first term's deltas (grad_deltas included),
+    and the activation products run once, however many terms there are.
+    With a scratch, the later terms' deltas reuse one region of it. The
+    terms are written to out, a (diag, row) pair, if given.
     """
     y = trace.pre_activations[-1]
     b = y.shape[0]
     if cfg.algo in ("adagrad", "dop", "qdop"):
-        terms = [(grad_deltas, 1.0 / b)]
+        terms = [(None, 1.0 / b)]
     elif cfg.algo in ("dmcnat", "qdmcnat"):
-        def draw():
-            pseudo = model.sample_pseudo_target(y, rng)
-            return net.backprop_deltas(trace, model.loss_output_grad(y, pseudo))
-        terms = ((draw(), 1.0 / (b * cfg.n_mc)) for _ in range(cfg.n_mc))
+        terms = ((model.loss_output_grad(y, model.sample_pseudo_target(y, rng)),
+                  1.0 / (b * cfg.n_mc)) for _ in range(cfg.n_mc))
     else:  # dnat, qdnat
-        terms = ((net.backprop_deltas(trace, term.seed), term.weight / b)
-                 for term in model.enumerate_fisher_terms(y))
-    sq_deltas = None
-    for deltas, w in terms:
+        terms = ((term.seed, term.weight / b) for term in model.enumerate_fisher_terms(y))
+
+    def weighted_squares(seed, w):
+        deltas = grad_deltas if seed is None else net.backprop_deltas(trace, seed, scratch=scratch)
         w = np.reshape(w, (-1, 1))
-        if sq_deltas is None:
-            sq_deltas = [w * d**2 for d in deltas]
-        else:
-            for q, d in zip(sq_deltas, deltas):
-                q += w * d**2
-    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi, out=out)
+        for d in deltas:
+            np.multiply(w, np.square(d, out=d), out=d)  # w * d**2
+        return deltas
+
+    terms = iter(terms)
+    sq_deltas = weighted_squares(*next(terms))
+    for seed, w in terms:
+        with nullcontext() if scratch is None else scratch.released():
+            for q, d in zip(sq_deltas, weighted_squares(seed, w)):
+                q += d
+    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi, out=out, scratch=scratch)
+
+
+def _finite(a) -> bool:
+    """True for None (a quantity the step does not have) and for all-finite values."""
+    return a is None or bool(np.isfinite(a).all())
 
 
 def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepReport:
     """One minibatch update; raises DivergenceError instead of writing NaNs.
 
     Order of operations: forward and backprop under the current parameters,
-    then the candidate metric and the preconditioned direction, then the
-    finiteness check, and only then the writes: parameters, metric, learned
-    output variances (a plain SGD step with the same eta) and the step
-    count. A step that raises leaves all of them as they were.
+    then the candidate metric, the preconditioned direction and the learned
+    output variances' gradient, then the finiteness check, and only then
+    the writes: parameters, metric, learned output variances (a plain SGD
+    step with the same eta) and the step count. A step that raises leaves
+    all of them as they were. The batch-sized arrays of the step live in
+    net.scratch.
     """
     # overflow here surfaces as a DivergenceError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = net.forward(inputs, mode="train", rng=rng)
+        scratch = net.reset_scratch(len(inputs), "train", _delta_sets(cfg))
+        trace = net.forward(inputs, mode="train", rng=rng, scratch=scratch)
         y = trace.output
         b = y.shape[0]
         loss = float(np.mean(model.loss(y, targets)))
-        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
+        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets),
+                                          scratch=scratch)
         grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
         grad_mean /= b
 
         theta = net.get_params()
-        metric = None
+        metric = vgrad = None
         if cfg.algo == "sgd":
             direction = grad_mean
         else:
-            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
+            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare,
+                                      scratch)
             metric = state.metric.updated(diag, row, cfg.gamma)
             direction = state.direction
             if cfg.algo == "adagrad":
@@ -171,22 +199,28 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
                 np.divide(grad_mean, direction, out=direction)
             else:
                 metric.solve(grad_mean, cfg.epsilon, out=direction)
+        if getattr(model, "learn_variance", False):
+            vgrad = model.variance_grad(y, targets).mean(axis=0)
+        report = StepReport(
+            loss=loss,
+            grad_norm=float(np.linalg.norm(grad_mean)),
+            step_norm=float(cfg.eta * np.linalg.norm(direction)),
+        )
 
-    if not (np.isfinite(loss) and np.isfinite(direction).all()):
-        raise DivergenceError("non-finite loss or update direction", eta=cfg.eta)
+    checks = [("loss", loss), ("update direction", direction), ("output variance gradient", vgrad)]
+    if metric is not None:
+        checks += [("metric diagonal", metric.diag), ("metric row", metric.row)]
+    for name, value in checks:
+        if not _finite(value):
+            raise DivergenceError(f"non-finite {name}", eta=cfg.eta)
     axpy(theta, -cfg.eta, direction)  # theta -= eta * direction, bit for bit
     net.set_params(theta)
     if metric is not None:
         state.commit(metric)
-    if getattr(model, "learn_variance", False):
-        vgrad = model.variance_grad(y, targets).mean(axis=0)
+    if vgrad is not None:
         model.variance_step(vgrad, cfg.eta)
     state.t += 1
-    return StepReport(
-        loss=loss,
-        grad_norm=float(np.linalg.norm(grad_mean)),
-        step_norm=float(cfg.eta * np.linalg.norm(direction)),
-    )
+    return report
 
 
 def metric_warmup(net, model, inputs, targets, state, cfg, rng=None) -> None:
@@ -200,12 +234,14 @@ def metric_warmup(net, model, inputs, targets, state, cfg, rng=None) -> None:
     if len(inputs) == 0:
         raise ValueError("warmup needs at least one sample")
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = net.forward(inputs, mode="train", rng=rng)
+        scratch = net.reset_scratch(len(inputs), "train", _delta_sets(cfg))
+        trace = net.forward(inputs, mode="train", rng=rng, scratch=scratch)
         y = trace.output
-        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
-        diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
+        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets),
+                                          scratch=scratch)
+        diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare,
+                                  scratch)
         metric = state.metric.updated(diag, row, 1.0)
-    if not (np.isfinite(metric.diag).all()
-            and (metric.row is None or np.isfinite(metric.row).all())):
+    if not (_finite(metric.diag) and _finite(metric.row)):
         raise DivergenceError("non-finite metric", eta=cfg.eta)
     state.commit(metric)

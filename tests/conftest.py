@@ -6,6 +6,8 @@ encoder so every test exercises the production loading path. Shapes and
 filenames mirror the MNIST distribution.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,8 @@ def _glyph(digit):
     return t
 
 
-@pytest.fixture(scope="session")
-def mnist_like_dir(tmp_path_factory):
+def write_mnist_like(directory):
+    """Write the corpus as MNIST IDX files into directory; returns their paths."""
     rng = np.random.default_rng(42)
     labels = rng.integers(0, 10, size=N_IMAGES)
     glyphs = np.stack([_glyph(d) for d in range(10)])
@@ -36,9 +38,24 @@ def mnist_like_dir(tmp_path_factory):
         images[i] = np.roll(glyphs[labels[i]], tuple(shifts[i]), axis=(0, 1))
     images = images * 180.0 + rng.normal(0.0, 18.0, size=images.shape)
     images = np.clip(images, 0.0, 255.0).astype(np.uint8)
+    paths = Path(directory) / "train-images-idx3-ubyte", Path(directory) / "train-labels-idx1-ubyte"
+    write_idx_images(paths[0], images)
+    write_idx_labels(paths[1], labels.astype(np.uint8))
+    return paths
+
+
+def subset(ds, n_train, n_valid=0):
+    """The first n_train rows for training and the next n_valid for validation."""
+    n = n_train + n_valid
+    assert n <= len(ds)
+    return Dataset(ds.features[:n], ds.targets[:n], "class", 10,
+                   np.arange(n_train), np.arange(n_train, n))
+
+
+@pytest.fixture(scope="session")
+def mnist_like_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("mnist_like")
-    write_idx_images(d / "train-images-idx3-ubyte", images)
-    write_idx_labels(d / "train-labels-idx1-ubyte", labels.astype(np.uint8))
+    write_mnist_like(d)
     return d
 
 
@@ -56,11 +73,6 @@ def subset_of(mnist_like):
     """Factory for prefix subsets: subset_of(n_train, n_valid) -> Dataset."""
 
     def make(n_train, n_valid=0):
-        n = n_train + n_valid
-        assert n <= len(mnist_like)
-        return Dataset(
-            mnist_like.features[:n], mnist_like.targets[:n], "class", 10,
-            np.arange(n_train), np.arange(n_train, n),
-        )
+        return subset(mnist_like, n_train, n_valid)
 
     return make

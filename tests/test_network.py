@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 
 from qdgrad.metric import QDMetric
 from qdgrad.network import (
     Network,
+    Scratch,
     StaleTraceError,
+    _matmul,
     load_checkpoint,
     make_sparse_layout,
     save_checkpoint,
@@ -455,6 +457,92 @@ def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
     d_only, none = net.qd_batch_terms(tr, sq_deltas, quasi=False)
     assert_close(d_only, diag)
     assert none is None
+
+
+# ---------------------------------------------------------------------------
+# Scratch
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dense_or_masked_nets(draw):
+    """A dense net, or one with random boolean masks, of any activation."""
+    sizes, masks, activation = draw(masked_nets())
+    return sizes, masks if draw(st.booleans()) else None, activation
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_or_masked_nets(), st.lists(st.integers(1, 5), min_size=2, max_size=2),
+       st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed):
+    # two batch sizes one after the other on one scratch, each compared
+    # bit for bit with new arrays once the whole pass is done
+    sizes, masks, activation = net_spec
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, sizes, activation, masks=masks, dropout=dropout)
+    for b in batches:
+        X = rng.standard_normal((b, sizes[0]))
+        C = rng.standard_normal((b, sizes[-1]))
+        w = rng.uniform(0.1, 2.0, size=(b, 1))
+        passes = []
+        for scratch in (None, net.reset_scratch(b, "train", delta_sets=1)):
+            tr = net.forward(X, mode="train", rng=np.random.default_rng(seed), scratch=scratch)
+            deltas = net.backprop_deltas(tr, C, scratch=scratch)
+            sq = [w * d**2 for d in deltas]
+            terms = [net.qd_batch_terms(tr, sq, quasi=quasi, scratch=scratch)
+                     for quasi in (True, False)]
+            passes.append((tr, deltas, terms))
+        (tr, deltas, terms), (tr_s, deltas_s, terms_s) = passes
+        draws = np.random.default_rng(seed)  # each layer's dropout draws, (B, n) row-major
+        for mask, n in zip(tr.masks, sizes[1:-1]):
+            if dropout:
+                np.testing.assert_array_equal(mask, (draws.random((b, n)) >= dropout) / (1 - dropout))
+        for name in ("inputs", "pre_activations", "hidden", "masks"):
+            for got, ref in zip(getattr(tr_s, name), getattr(tr, name)):
+                np.testing.assert_array_equal(got, ref, err_msg=name)
+        for got, ref in zip(deltas_s, deltas):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(terms_s, terms):
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+        tr_e = net.forward(X, mode="eval", scratch=net.reset_scratch(b, "eval"))
+        np.testing.assert_array_equal(tr_e.output, net.forward(X, mode="eval").output)
+
+
+@pytest.mark.parametrize("fmt", [csr_array, csc_array])
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sparse_matmul_matches_scipy_bitwise(fmt, k, transposed):
+    # _matmul calls scipy's private kernel into a given array; this pins it
+    # to what S @ x computes
+    rng = np.random.default_rng(15)
+    dense = rng.standard_normal((40, 300)) * (rng.random((40, 300)) < 0.3)
+    S = fmt(dense)
+    x = rng.standard_normal((k, 300)).T if transposed else rng.standard_normal((300, k))
+    out = np.full((40, k), np.nan)
+    assert _matmul(S, x, out) is out
+    np.testing.assert_array_equal(out, S @ x)
+
+
+def test_passes_without_scratch_return_new_arrays():
+    rng = np.random.default_rng(16)
+    net = random_net(rng, [4, 5, 3], dropout=0.3)
+    X = rng.standard_normal((3, 4))
+    a = net.forward(X, rng=np.random.default_rng(0))
+    b = net.forward(X, rng=np.random.default_rng(0))
+    for name in ("inputs", "pre_activations", "hidden", "masks"):
+        for x, y in zip(getattr(a, name), getattr(b, name)):
+            assert not np.shares_memory(x, y), name
+
+
+def test_scratch_never_grows_within_a_pass():
+    scratch = Scratch().reset(10)
+    buf = scratch.buf
+    scratch.take(2, 4)
+    with pytest.raises(RuntimeError, match="10 floats"):
+        scratch.take(1, 3)
+    assert scratch.reset(10).buf is buf  # a pass that fits keeps the buffer
+    assert scratch.reset(11).buf.size == 11
 
 
 # ---------------------------------------------------------------------------

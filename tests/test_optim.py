@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgrad.metric import QDMetric, qd_reduce
+from qdgrad.data import Dataset
+from qdgrad.harness import eval_metrics
+from qdgrad.metric import CHUNK_FLOATS, QDMetric, qd_reduce
 from qdgrad.network import Network, make_sparse_layout
 from qdgrad.optim import (
     ALGOS,
@@ -463,6 +465,72 @@ def test_warm_step_allocates_less_than_two_thetas(algo):
     finally:
         tracemalloc.stop()
     assert peak - before < 2 * net.theta.nbytes
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("masked", [False, True])
+def test_warm_passes_allocate_nothing_batch_sized(algo, masked):
+    # After one step and one evaluation, a step and an evaluation carve
+    # their batch-sized arrays from net.scratch without reallocating it. A
+    # step allocates less than one (B, n) array of the smallest hidden
+    # layer besides the theta copy, the finiteness mask and the solve's
+    # three chunk rows; the output head's (B, K) arrays are much smaller.
+    # An evaluation allocates its feature gather and a few small objects.
+    rng = np.random.default_rng(17)
+    sizes, b, k = [32, 320, 256, 4], 512, 4
+    masks = make_sparse_layout(sizes, 8, rng) if masked else None
+    net = Network(sizes, "tanh", masks=masks, dropout=0.2 if masked else 0.0)
+    net.init_params(rng)
+    model = CategoricalOutput(k)
+    n = 2 * b
+    ds = Dataset(rng.uniform(0.0, 1.0, size=(n, sizes[0])), rng.integers(0, k, size=n),
+                 "class", k, np.arange(b), np.arange(b, n))
+    X, T = ds.features[ds.train_idx], ds.target_batch(ds.train_idx)
+    cfg = OptimizerConfig(algo, eta=0.01)
+    state = OptimizerState(net, cfg)
+    optimizer_step(net, model, X, T, state, cfg, rng)
+    eval_metrics(net, model, ds, ds.valid_idx)
+    buf = net.scratch.buf
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        optimizer_step(net, model, X, T, state, cfg, rng)
+        step = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        eval_metrics(net, model, ds, ds.valid_idx)
+        evaluation = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert net.scratch.buf is buf
+    allowed = net.theta.nbytes + net.theta.size + (3 * CHUNK_FLOATS * 8 if cfg.quasi else 0)
+    assert step - allowed < b * min(sizes[1:-1]) * 8
+    assert evaluation <= ds.features[ds.valid_idx].nbytes + 2**14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algo", ["adagrad", "dop", "qdop"])
+def test_step_with_a_non_finite_metric_raises_and_keeps_the_state(algo):
+    # the loss stays finite, but the squared deltas of the metric overflow
+    rng = np.random.default_rng(18)
+    net = Network([3, 4, 2], "sigmoid")
+    net.init_params(rng)
+    model = GaussianOutput(2, sigma=1 / 256)
+    X = rng.uniform(0.0, 1.0, size=(5, 3))
+    T = rng.standard_normal((5, 2))
+    cfg = OptimizerConfig(algo, eta=1e-6)
+    state = OptimizerState(net, cfg)
+    optimizer_step(net, model, X, T, state, cfg)
+    theta, metric, t = net.get_params(), state.metric.copy(), state.t
+    with pytest.raises(DivergenceError):
+        optimizer_step(net, model, X, T * 1e151, state, cfg)
+    np.testing.assert_array_equal(net.theta, theta)
+    np.testing.assert_array_equal(state.metric.diag, metric.diag)
+    np.testing.assert_array_equal(state.metric.row, metric.row)
+    assert state.t == t == 1
+    assert state.metric.initialized
+    optimizer_step(net, model, X, T, state, cfg)
+    assert np.all(net.theta != theta)  # the next good step moves every coordinate
 
 
 def test_learned_variance_takes_sgd_step():
