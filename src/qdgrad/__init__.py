@@ -20,7 +20,7 @@ from .harness import (
     grid_search,
     run_training,
 )
-from .metric import BlockLayout, MetricError, QDMetric, qd_reduce
+from .metric import BlockLayout, MetricError, QDMetric
 from .network import (
     Network,
     StaleTraceError,
@@ -35,7 +35,6 @@ from .optim import (
     DivergenceError,
     OptimizerConfig,
     OptimizerState,
-    metric_warmup,
     optimizer_step,
 )
 from .outputs import (
@@ -82,10 +81,8 @@ __all__ = [
     "load_idx",
     "make_output_model",
     "make_sparse_layout",
-    "metric_warmup",
     "minibatches",
     "optimizer_step",
-    "qd_reduce",
     "run_suite",
     "run_training",
     "save_checkpoint",

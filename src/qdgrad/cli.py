@@ -158,28 +158,32 @@ def _merge_options(args) -> dict:
 
 
 def _load_dataset(opt):
+    """The run's dataset; a ValueError while it is built is a RunConfigError."""
     n_valid = opt["n_valid"]
-    if opt["dataset"] == "mnist":
-        d = Path(opt["data_dir"])
-        images, labels = d / MNIST_IMAGES, d / MNIST_LABELS
-        if not images.exists() or not labels.exists():
-            raise SystemExit(
-                f"MNIST IDX files not found under {d} "
-                f"(expected {MNIST_IMAGES} and {MNIST_LABELS})"
-            )
-        ds = load_idx(images, labels, n_valid=10_000 if n_valid is None else n_valid)
-    elif opt["dataset"] == "csv":
-        if not opt["csv"]:
-            raise SystemExit("--dataset csv needs --csv PATH")
-        ds = load_csv(opt["csv"], target_columns=opt["csv_targets"],
-                      has_header=opt["csv_header"],
-                      n_valid=0 if n_valid is None else n_valid)
-    elif opt["dataset"] == "synthetic-eeg":
-        ds = generate_eeg(opt["eeg_samples"], n_channels=opt["eeg_channels"],
-                          seed=opt["seed"],
+    try:
+        if opt["dataset"] == "mnist":
+            d = Path(opt["data_dir"])
+            images, labels = d / MNIST_IMAGES, d / MNIST_LABELS
+            if not images.exists() or not labels.exists():
+                raise SystemExit(
+                    f"MNIST IDX files not found under {d} "
+                    f"(expected {MNIST_IMAGES} and {MNIST_LABELS})"
+                )
+            ds = load_idx(images, labels, n_valid=10_000 if n_valid is None else n_valid)
+        elif opt["dataset"] == "csv":
+            if not opt["csv"]:
+                raise SystemExit("--dataset csv needs --csv PATH")
+            ds = load_csv(opt["csv"], target_columns=opt["csv_targets"],
+                          has_header=opt["csv_header"],
                           n_valid=0 if n_valid is None else n_valid)
-    else:
-        raise SystemExit(f"unknown dataset {opt['dataset']!r}")
+        elif opt["dataset"] == "synthetic-eeg":
+            ds = generate_eeg(opt["eeg_samples"], n_channels=opt["eeg_channels"],
+                              seed=opt["seed"],
+                              n_valid=0 if n_valid is None else n_valid)
+        else:
+            raise SystemExit(f"unknown dataset {opt['dataset']!r}")
+    except ValueError as e:
+        raise RunConfigError(str(e)) from e
     if opt["train_limit"] is not None:
         ds = ds.with_split(ds.train_idx[: opt["train_limit"]], ds.valid_idx)
     return ds
@@ -232,6 +236,9 @@ def cmd_bench(opt) -> int:
 
 
 def cmd_verify(opt) -> int:
+    choices = sorted(SUITES) + ["all"]
+    if opt["suite"] not in choices:  # argparse checks the flag, not a config file
+        raise RunConfigError(f"unknown suite {opt['suite']!r}; choose from {', '.join(choices)}")
     names = sorted(SUITES) if opt["suite"] == "all" else [opt["suite"]]
     ok = True
     for name in names:

@@ -18,7 +18,6 @@ __all__ = [
     "load_csv",
     "write_idx_images",
     "write_idx_labels",
-    "write_csv",
     "minibatches",
     "invert_features",
     "generate_eeg",
@@ -213,14 +212,6 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
     return Dataset(features, targets, kind, None, train_idx, valid_idx)
 
 
-def write_csv(path, array) -> None:
-    """Full-precision dump of an (N, D) array, one row per line.
-
-    Round-trips through load_csv.
-    """
-    np.savetxt(path, np.asarray(array, dtype=float), fmt="%.17g", delimiter=",")
-
-
 # ---------------------------------------------------------------------------
 # Iteration and inversion
 # ---------------------------------------------------------------------------
@@ -259,7 +250,7 @@ def generate_eeg(n_samples, n_channels=56, n_sources=8, noise=0.05,
 
     Channels are random linear mixtures of a few shared sine sources plus
     white noise, an autoencoding task. Exact [0,1] endpoints per channel make
-    a write_csv / load_csv round trip bit-identical.
+    a full-precision CSV round trip through load_csv bit-identical.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples to span [0, 1]")
@@ -273,4 +264,3 @@ def generate_eeg(n_samples, n_channels=56, n_sources=8, noise=0.05,
     x = _normalize_columns(x)
     train_idx, valid_idx = split_last(n_samples, n_valid)
     return Dataset(x, None, "self", None, train_idx, valid_idx)
-

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "BlockLayout",
     "QDMetric",
-    "qd_reduce",
 ]
 
 
@@ -139,31 +138,12 @@ class QDMetric:
 
     # -- accumulation ------------------------------------------------------
 
-    def rank_one_update(self, v: np.ndarray, alpha: float) -> None:
-        """Add alpha * (v v^T) restricted to the retained entries.
-
-        diag += alpha * v**2 everywhere; in QD mode the first row of each
-        block picks up alpha * v_0 * v_i for i >= 1.
-        """
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.layout.dim,):
-            raise MetricError("vector does not match layout")
-        if not np.isfinite(alpha):
-            raise MetricError("alpha must be finite")
-        self.diag += alpha * v * v
-        if self.quasi:
-            for flat, count, length in self.layout.groups():
-                blk = v[flat : flat + count * length].reshape(count, length)
-                if length > 1:
-                    r = self.row[flat : flat + count * length].reshape(count, length)
-                    r[:, 1:] += alpha * blk[:, :1] * blk[:, 1:]
-
     def add_terms(self, diag_inc: np.ndarray, row_inc, alpha: float) -> None:
         """Accumulate a precomputed QD reduction with coefficient alpha.
 
-        Used by the batched training path, which forms the minibatch-averaged
-        diag and row contributions with matrix products instead of looping
-        over per-sample rank-one updates. row_inc is None in diagonal mode.
+        The training step forms the minibatch-averaged diag and row
+        contributions with matrix products, not per-sample rank-one updates.
+        row_inc is None in diagonal mode.
         """
         axpy(self.diag, alpha, diag_inc)
         if self.row is not None:
@@ -268,23 +248,3 @@ class QDMetric:
         m = QDMetric.from_arrays(self.layout, self.diag.copy(), row)
         m.initialized = self.initialized
         return m
-
-
-def qd_reduce(dense: np.ndarray, layout: BlockLayout, quasi: bool = True) -> QDMetric:
-    """Project a dense symmetric matrix onto its QD representation.
-
-    Keeps the diagonal and, per block, the row of the bias entry. Intended
-    for oracles and debugging; the training path never builds dense matrices.
-    """
-    dense = np.asarray(dense, dtype=float)
-    if dense.shape != (layout.dim, layout.dim):
-        raise MetricError("matrix does not match layout")
-    m = QDMetric(layout, quasi=quasi)
-    m.diag[:] = np.diagonal(dense)
-    if quasi:
-        for k in range(layout.n_blocks):
-            sl = layout.block_slice(k)
-            bias = sl.start
-            m.row[sl.start + 1 : sl.stop] = dense[bias, sl.start + 1 : sl.stop]
-    m.initialized = True
-    return m

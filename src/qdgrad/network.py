@@ -33,13 +33,15 @@ they are these products sampled at the stored entries only:
 sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P.
 
 Every batch-sized array of a pass (layer inputs, pre-activations, dropout
-masks, backprop products, temporaries) is a new array unless the caller
-passes a Scratch: then forward, backprop_deltas and qd_batch_terms carve
-them as views of its one flat buffer, with the same shapes, memory orders
-and floats. Each network owns one, net.scratch, which the training step
-and evaluation share. reset_scratch starts a pass, and every array of the
-previous pass, its trace included, is overwritten by the next one: a
-caller that keeps a trace passes no scratch.
+masks, backprop products, temporaries) is a new array unless forward is
+given a Scratch: then the pass carves them as views of its one flat
+buffer, with the same shapes, memory orders and floats. The trace records
+where its arrays came from, and backprop_deltas, grad_from_deltas and
+qd_batch_terms carve theirs there too. Each network owns one Scratch,
+net.scratch, which the training step and evaluation share. reset_scratch
+starts a pass and overwrites the previous one, whose trace then raises
+StaleTraceError in those readers. A caller that keeps a trace passes no
+scratch.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -70,7 +72,7 @@ ParamVector = np.ndarray
 
 
 class StaleTraceError(RuntimeError):
-    """Trace was produced under different parameters than the ones in use."""
+    """Trace was produced under other parameters, or its scratch was reset since."""
 
 
 def _act(kind, z, out=None):
@@ -103,12 +105,14 @@ class Scratch:
     sized for the larger of the two. The buffer never grows within a pass:
     asking for more than was reset raises. take carves the next array;
     the arrays carved inside a released() block are dropped at its end,
-    and the next ones reuse their space.
+    and the next ones reuse their space. passes counts the resets, so a
+    trace can tell that a later pass has overwritten its arrays.
     """
 
     def __init__(self):
         self.buf = np.empty(0)
         self.top = 0  # floats in use
+        self.passes = 0
 
     def reset(self, floats):
         """Start a pass of at most floats floats; returns self."""
@@ -116,6 +120,7 @@ class Scratch:
             self.buf = None  # the old buffer goes before the new one is allocated
             self.buf = np.empty(floats)
         self.top = 0
+        self.passes += 1
         return self
 
     def take(self, rows, cols):
@@ -139,6 +144,8 @@ class Scratch:
 
 class _NewArrays:
     """Stands in for a Scratch when the caller passes none: every array is new."""
+
+    passes = 0  # never reset, so its traces never go stale
 
     def take(self, rows, cols):
         return np.empty((rows, cols))
@@ -178,11 +185,18 @@ class ForwardTrace:
     hidden: list  # pre-dropout activations h_1 .. h_(L-1)
     masks: list  # dropout masks with entries in {0, 1/(1-p)}, or None
     version: int
+    scratch: object  # the Scratch (or _NEW_ARRAYS) the arrays were carved from
+    scratch_pass: int  # scratch.passes when they were
 
     @property
     def output(self):
         """The (B, K) pre-activation of the linear output layer."""
         return self.pre_activations[-1]
+
+    def check_pass(self):
+        """Raise StaleTraceError if the scratch was reset since the trace was made."""
+        if self.scratch.passes != self.scratch_pass:
+            raise StaleTraceError("trace's scratch was reset by a later pass")
 
 
 def make_sparse_layout(sizes, fan_in, rng):
@@ -397,7 +411,7 @@ class Network:
         return self.scratch.reset(floats * b)
 
     def forward(self, x, mode="train", rng=None, scratch=None) -> ForwardTrace:
-        """Trace of a forward pass; its arrays are carved from scratch if given."""
+        """Trace of a forward pass; it and the passes over it carve from scratch if given."""
         if mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
         x = np.asarray(x, dtype=float)
@@ -438,21 +452,22 @@ class Network:
                 masks.append(None)
             hidden.append(h)
             inputs.append(a)
-        return ForwardTrace(inputs, pre, hidden, masks, self.version)
+        return ForwardTrace(inputs, pre, hidden, masks, self.version, scratch, scratch.passes)
 
-    def backprop_deltas(self, trace: ForwardTrace, output_grad, scratch=None) -> list:
+    def backprop_deltas(self, trace: ForwardTrace, output_grad) -> list:
         """Per-layer pre-activation sensitivities for an output seed.
 
         deltas[l] is d<output_grad, y> / d z_(l+1), shape (B, sizes[l+1]);
         the last one is output_grad itself, the others are carved from
-        scratch if given.
+        the trace's scratch.
         """
         if trace.version != self.version:
             raise StaleTraceError("trace predates the current parameters")
+        trace.check_pass()
         g = np.asarray(output_grad, dtype=float)
         if g.shape != trace.pre_activations[-1].shape:
             raise ValueError("output_grad must be a (B, K) array shaped like the trace output")
-        scratch = _NEW_ARRAYS if scratch is None else scratch
+        scratch = trace.scratch
         b = len(g)
         deltas = [None] * self.n_layers
         deltas[-1] = g
@@ -472,6 +487,7 @@ class Network:
 
     def grad_from_deltas(self, trace: ForwardTrace, deltas, out=None) -> ParamVector:
         """Flat gradient, summed over the batch; written to out if given."""
+        trace.check_pass()
         grad = np.empty(self.layout.dim) if out is None else out
         for idx, d, a in zip(self._index, deltas, trace.inputs):
             if idx.dense:
@@ -488,8 +504,7 @@ class Network:
         """
         return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
-    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True, out=None,
-                       scratch=None):
+    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True, out=None):
         """Metric terms from per-layer summed weighted squared deltas.
 
         sq_deltas[l] is the (B, sizes[l+1]) array sum_c w_c d_c**2 over
@@ -500,9 +515,10 @@ class Network:
         where v_sc is the per-sample gradient for seed c. row is None in
         diagonal mode. With out = (diag, row), the terms are written there
         (out's row is ignored in diagonal mode). The temporary [1|a**2] of
-        a dense layer is carved from scratch if given.
+        a dense layer is carved from the trace's scratch.
         """
-        scratch = _NEW_ARRAYS if scratch is None else scratch
+        trace.check_pass()
+        scratch = trace.scratch
         if out is None:
             out = np.empty(self.layout.dim), np.empty(self.layout.dim) if quasi else None
         diag, row = out[0], out[1] if quasi else None

@@ -14,7 +14,6 @@ AdaGrad keeps the identical accumulator as the diagonal op variant but
 applies exponent -1/2 instead of -1 in the preconditioner.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "StepReport",
     "DivergenceError",
     "optimizer_step",
-    "metric_warmup",
 ]
 
 ALGOS = ("sgd", "adagrad", "dop", "qdop", "dmcnat", "qdmcnat", "dnat", "qdnat")
@@ -118,7 +116,7 @@ def _delta_sets(cfg) -> int:
     return 2 if cfg.algo.endswith("mcnat") and cfg.n_mc == 1 else 3
 
 
-def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None, scratch=None):
+def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None):
     """Minibatch-averaged metric contribution (diag, row) for cfg.algo.
 
     Each algorithm lists its (output seed, weight) terms, a weight being a
@@ -127,7 +125,7 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None, scratch=No
     through the sum of weight * deltas**2 per layer, so that sum is formed
     first, in place over the first term's deltas (grad_deltas included),
     and the activation products run once, however many terms there are.
-    With a scratch, the later terms' deltas reuse one region of it. The
+    The later terms' deltas reuse one region of the trace's scratch. The
     terms are written to out, a (diag, row) pair, if given.
     """
     y = trace.pre_activations[-1]
@@ -141,7 +139,7 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None, scratch=No
         terms = ((term.seed, term.weight / b) for term in model.enumerate_fisher_terms(y))
 
     def weighted_squares(seed, w):
-        deltas = grad_deltas if seed is None else net.backprop_deltas(trace, seed, scratch=scratch)
+        deltas = grad_deltas if seed is None else net.backprop_deltas(trace, seed)
         w = np.reshape(w, (-1, 1))
         for d in deltas:
             np.multiply(w, np.square(d, out=d), out=d)  # w * d**2
@@ -150,10 +148,10 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None, scratch=No
     terms = iter(terms)
     sq_deltas = weighted_squares(*next(terms))
     for seed, w in terms:
-        with nullcontext() if scratch is None else scratch.released():
+        with trace.scratch.released():
             for q, d in zip(sq_deltas, weighted_squares(seed, w)):
                 q += d
-    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi, out=out, scratch=scratch)
+    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi, out=out)
 
 
 def _finite(a) -> bool:
@@ -170,8 +168,10 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
     the writes: parameters, metric, learned output variances (a plain SGD
     step with the same eta) and the step count. A step that raises leaves
     all of them as they were. The batch-sized arrays of the step live in
-    net.scratch.
+    net.scratch. An empty batch raises ValueError before any work.
     """
+    if len(inputs) == 0:
+        raise ValueError("a step needs at least one sample")
     # overflow here surfaces as a DivergenceError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         scratch = net.reset_scratch(len(inputs), "train", _delta_sets(cfg))
@@ -179,8 +179,7 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         y = trace.output
         b = y.shape[0]
         loss = float(np.mean(model.loss(y, targets)))
-        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets),
-                                          scratch=scratch)
+        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
         grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
         grad_mean /= b
 
@@ -189,8 +188,7 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         if cfg.algo == "sgd":
             direction = grad_mean
         else:
-            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare,
-                                      scratch)
+            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
             metric = state.metric.updated(diag, row, cfg.gamma)
             direction = state.direction
             if cfg.algo == "adagrad":
@@ -221,27 +219,3 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         model.variance_step(vgrad, cfg.eta)
     state.t += 1
     return report
-
-
-def metric_warmup(net, model, inputs, targets, state, cfg, rng=None) -> None:
-    """Initialize the metric on a batch with total weight 1, no param write.
-
-    Raises DivergenceError, leaving the metric as it was, if the new metric
-    is not finite.
-    """
-    if state.metric is None:
-        return
-    if len(inputs) == 0:
-        raise ValueError("warmup needs at least one sample")
-    with np.errstate(over="ignore", invalid="ignore"):
-        scratch = net.reset_scratch(len(inputs), "train", _delta_sets(cfg))
-        trace = net.forward(inputs, mode="train", rng=rng, scratch=scratch)
-        y = trace.output
-        grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets),
-                                          scratch=scratch)
-        diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare,
-                                  scratch)
-        metric = state.metric.updated(diag, row, 1.0)
-    if not (_finite(metric.diag) and _finite(metric.row)):
-        raise DivergenceError("non-finite metric", eta=cfg.eta)
-    state.commit(metric)

@@ -2,16 +2,18 @@
 
 Each suite builds its own fixtures from a fixed seed, measures the relevant
 discrepancies, and returns a CheckResult with the numbers it saw, so both
-the CLI and the test suite can assert on identical machinery.
+the CLI and the test suite can assert on identical machinery. The dense
+oracles the suites and the tests check the QD metric against live here
+too: rank_one_update, qd_reduce and pairwise_solve_oracle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import BlockLayout, QDMetric
+from .metric import BlockLayout, MetricError, QDMetric
 from .network import Network, to_inverted_inputs, to_tanh_equivalent
-from .optim import OptimizerConfig, OptimizerState, metric_warmup, optimizer_step
+from .optim import OptimizerConfig, OptimizerState, optimizer_step
 from .outputs import (
     BernoulliOutput,
     CategoricalOutput,
@@ -95,6 +97,45 @@ def suite_gradcheck(seed=0, n_coords=100, tol=1e-5) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def rank_one_update(metric: QDMetric, v, alpha: float) -> None:
+    """Add alpha * (v v^T) to metric, restricted to its retained entries.
+
+    diag += alpha * v**2 everywhere; in QD mode the first row of each
+    block picks up alpha * v_0 * v_i for i >= 1.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (metric.layout.dim,):
+        raise MetricError("vector does not match layout")
+    if not np.isfinite(alpha):
+        raise MetricError("alpha must be finite")
+    metric.diag += alpha * v * v
+    if metric.quasi:
+        for flat, count, length in metric.layout.groups():
+            blk = v[flat : flat + count * length].reshape(count, length)
+            if length > 1:
+                r = metric.row[flat : flat + count * length].reshape(count, length)
+                r[:, 1:] += alpha * blk[:, :1] * blk[:, 1:]
+
+
+def qd_reduce(dense, layout: BlockLayout, quasi: bool = True) -> QDMetric:
+    """Project a dense symmetric matrix onto its QD representation.
+
+    Keeps the diagonal and, per block, the row of the bias entry.
+    """
+    dense = np.asarray(dense, dtype=float)
+    if dense.shape != (layout.dim, layout.dim):
+        raise MetricError("matrix does not match layout")
+    m = QDMetric(layout, quasi=quasi)
+    m.diag[:] = np.diagonal(dense)
+    if quasi:
+        for k in range(layout.n_blocks):
+            sl = layout.block_slice(k)
+            bias = sl.start
+            m.row[sl.start + 1 : sl.stop] = dense[bias, sl.start + 1 : sl.stop]
+    m.initialized = True
+    return m
+
+
 def pairwise_solve_oracle(metric: QDMetric, v):
     """Independent per-pair reconstruction of the QD inverse action.
 
@@ -128,8 +169,8 @@ def suite_qdsolve_oracle(seed=0, n_matrices=1000, tol_pair=1e-8,
         layout = BlockLayout(lengths)
         m = QDMetric(layout, quasi=True)
         for _ in range(3 + rng.integers(0, 4)):
-            m.rank_one_update(rng.standard_normal(layout.dim),
-                              float(rng.uniform(0.2, 2.0)))
+            rank_one_update(m, rng.standard_normal(layout.dim),
+                            float(rng.uniform(0.2, 2.0)))
         v = rng.standard_normal(layout.dim)
         w = m.solve(v, 0.0)  # no clamp: denominators are genuinely positive
         ref = pairwise_solve_oracle(m, v)
@@ -206,11 +247,9 @@ def suite_fisher_consistency(seed=0, n_draws=100_000) -> CheckResult:
 
 
 def _one_step_outputs(net, model, X, T, probes, algo, eta):
-    """Warm the metric on (X, T), take one step, return probe outputs."""
+    """One step on (X, T) from a fresh state, whose metric is (X, T)'s; probe outputs."""
     cfg = OptimizerConfig(algo, eta=eta, epsilon=0.0)
-    state = OptimizerState(net, cfg)
-    metric_warmup(net, model, X, T, state, cfg)
-    optimizer_step(net, model, X, T, state, cfg)
+    optimizer_step(net, model, X, T, OptimizerState(net, cfg), cfg)
     return net.forward(probes, mode="eval").output
 
 

@@ -44,6 +44,11 @@ def write_mnist_like(directory):
     return paths
 
 
+def write_csv(path, array):
+    """Full-precision dump of an (N, D) array, one row per line, for load_csv."""
+    np.savetxt(path, np.asarray(array, dtype=float), fmt="%.17g", delimiter=",")
+
+
 def subset(ds, n_train, n_valid=0):
     """The first n_train rows for training and the next n_valid for validation."""
     n = n_train + n_valid

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import write_csv
 
 from qdgrad.cli import main
-from qdgrad.data import generate_eeg, write_csv
+from qdgrad.data import generate_eeg
 from qdgrad.harness import TrainLog
 from qdgrad.network import load_checkpoint
 
@@ -106,6 +107,24 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, messag
     # status 2 with the message, not a traceback; status 1 means "diverged"
     rc = main([command, *eeg_args(tmp_path, *extra)[1:]])
     assert rc == 2
+    assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["verify"], "suite = nope\n",
+     "unknown suite 'nope'; choose from fisher-consistency, gradcheck, invariance, "
+     "op-quadratic, qdsolve-oracle, all"),
+    (["--eeg-samples", "1"], None, "need at least 2 samples to span [0, 1]"),
+    (["--eeg-samples", "32", "--n-valid", "40"], None, "validation size out of range"),
+])
+def test_dataset_and_suite_errors_are_usage_errors(tmp_path, capsys, argv, config, message):
+    # argparse checks --suite's flag only, and the dataset is built before the run
+    if config is None:
+        argv = eeg_args(tmp_path, *argv)
+    else:
+        (tmp_path / "bad.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 
 

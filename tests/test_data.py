@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import write_csv
 
 from qdgrad.data import (
     Dataset,
@@ -11,7 +12,6 @@ from qdgrad.data import (
     load_idx,
     minibatches,
     split_last,
-    write_csv,
     write_idx_images,
     write_idx_labels,
 )

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgrad.metric import CHUNK_FLOATS, BlockLayout, MetricError, QDMetric, axpy, qd_reduce
+from qdgrad.metric import CHUNK_FLOATS, BlockLayout, MetricError, QDMetric, axpy
+from qdgrad.verify import qd_reduce, rank_one_update
 
 # ---------------------------------------------------------------------------
 # Oracles. The library never builds dense matrices; these do.
@@ -35,7 +36,7 @@ def random_qd_metric(rng, lengths, n_terms=4):
     m = QDMetric(layout, quasi=True)
     for _ in range(n_terms):
         v = rng.standard_normal(layout.dim)
-        m.rank_one_update(v, float(rng.uniform(0.1, 2.0)))
+        rank_one_update(m, v, float(rng.uniform(0.1, 2.0)))
     m.initialized = True
     return m
 
@@ -72,7 +73,7 @@ def test_layout_groups_merge_equal_runs():
 
 def test_rank_one_basic():
     m = QDMetric(BlockLayout(np.array([2])))
-    m.rank_one_update(np.array([1.0, 2.0]), 1.0)
+    rank_one_update(m, np.array([1.0, 2.0]), 1.0)
     np.testing.assert_allclose(m.diag, [1.0, 4.0])
     np.testing.assert_allclose(m.row, [0.0, 2.0])
 
@@ -81,7 +82,7 @@ def test_rank_one_alpha_zero_is_noop():
     rng = np.random.default_rng(0)
     m = random_qd_metric(rng, [3, 2])
     diag, row = m.diag.copy(), m.row.copy()
-    m.rank_one_update(rng.standard_normal(m.layout.dim), 0.0)
+    rank_one_update(m, rng.standard_normal(m.layout.dim), 0.0)
     np.testing.assert_array_equal(m.diag, diag)
     np.testing.assert_array_equal(m.row, row)
 
@@ -91,7 +92,7 @@ def test_rank_one_matches_dense_projection():
     # diagonal [2, 0.5, 4.5] and bias row [., -1, 3].
     m = QDMetric(BlockLayout(np.array([3])))
     v = np.array([2.0, -1.0, 3.0])
-    m.rank_one_update(v, 0.5)
+    rank_one_update(m, v, 0.5)
     dense = 0.5 * np.outer(v, v)
     np.testing.assert_allclose(m.diag, np.diagonal(dense))
     np.testing.assert_allclose(m.diag, [2.0, 0.5, 4.5])
@@ -103,7 +104,7 @@ def test_rank_one_matches_dense_projection():
 def test_rank_one_dimension_mismatch():
     m = QDMetric(BlockLayout(np.array([3])))
     with pytest.raises(MetricError):
-        m.rank_one_update(np.ones(4), 1.0)
+        rank_one_update(m, np.ones(4), 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,10 +114,10 @@ def test_accumulation_linearity(seed, alpha, beta):
     layout = BlockLayout(np.array([2, 4, 1]))
     v = rng.standard_normal(layout.dim)
     a = QDMetric(layout)
-    a.rank_one_update(v, alpha)
-    a.rank_one_update(v, beta)
+    rank_one_update(a, v, alpha)
+    rank_one_update(a, v, beta)
     b = QDMetric(layout)
-    b.rank_one_update(v, alpha + beta)
+    rank_one_update(b, v, alpha + beta)
     np.testing.assert_allclose(a.diag, b.diag, rtol=1e-12)
     np.testing.assert_allclose(a.row, b.row, rtol=1e-12)
 
@@ -129,7 +130,7 @@ def test_diag_nonnegative_under_decay_and_updates(seed, gammas):
     m = QDMetric(layout)
     for g in gammas:
         m.decay(g)
-        m.rank_one_update(rng.standard_normal(layout.dim), float(rng.uniform(0.0, 2.0)))
+        rank_one_update(m, rng.standard_normal(layout.dim), float(rng.uniform(0.0, 2.0)))
         assert np.all(m.diag >= 0.0)
 
 
@@ -172,7 +173,7 @@ def test_decay_then_update_moving_average():
     v = rng.standard_normal(4)
     gamma = 0.01
     m.decay(gamma)
-    m.rank_one_update(v, gamma)
+    rank_one_update(m, v, gamma)
     np.testing.assert_allclose(m.diag, (1 - gamma) * old + gamma * v * v, rtol=1e-12)
 
 
@@ -368,7 +369,7 @@ def test_reduce_agrees_with_rank_one():
     v = np.array([1.0, 2.0, 3.0])
     a = qd_reduce(np.outer(v, v), layout)
     b = QDMetric(layout)
-    b.rank_one_update(v, 1.0)
+    rank_one_update(b, v, 1.0)
     np.testing.assert_allclose(a.diag, b.diag)
     np.testing.assert_allclose(a.row, b.row)
 
@@ -402,5 +403,5 @@ def test_diag_mode_never_writes_row():
     m = QDMetric(layout, quasi=False)
     for _ in range(5):
         m.decay(0.3)
-        m.rank_one_update(rng.standard_normal(layout.dim), 1.0)
+        rank_one_update(m, rng.standard_normal(layout.dim), 1.0)
     assert m.row is None

@@ -22,6 +22,7 @@ from qdgrad.network import (
     to_tanh_equivalent,
 )
 from qdgrad.outputs import GaussianOutput
+from qdgrad.verify import rank_one_update
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def test_qd_batch_terms_match_per_sample_rank_one(quasi):
     for s in range(8):
         ts = net.forward(X[s][None], mode="eval")
         v = net.backprop(ts, C[s][None])
-        ref.rank_one_update(v, w[s])
+        rank_one_update(ref, v, w[s])
     np.testing.assert_allclose(diag, ref.diag, rtol=1e-11, atol=1e-13)
     if quasi:
         np.testing.assert_allclose(row, ref.row, rtol=1e-11, atol=1e-13)
@@ -487,10 +488,9 @@ def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed
         passes = []
         for scratch in (None, net.reset_scratch(b, "train", delta_sets=1)):
             tr = net.forward(X, mode="train", rng=np.random.default_rng(seed), scratch=scratch)
-            deltas = net.backprop_deltas(tr, C, scratch=scratch)
+            deltas = net.backprop_deltas(tr, C)
             sq = [w * d**2 for d in deltas]
-            terms = [net.qd_batch_terms(tr, sq, quasi=quasi, scratch=scratch)
-                     for quasi in (True, False)]
+            terms = [net.qd_batch_terms(tr, sq, quasi=quasi) for quasi in (True, False)]
             passes.append((tr, deltas, terms))
         (tr, deltas, terms), (tr_s, deltas_s, terms_s) = passes
         draws = np.random.default_rng(seed)  # each layer's dropout draws, (B, n) row-major
@@ -533,6 +533,25 @@ def test_passes_without_scratch_return_new_arrays():
     for name in ("inputs", "pre_activations", "hidden", "masks"):
         for x, y in zip(getattr(a, name), getattr(b, name)):
             assert not np.shares_memory(x, y), name
+
+
+def test_a_trace_of_an_earlier_scratch_pass_is_stale():
+    # an evaluation resets the scratch the step's trace was carved from;
+    # its readers must refuse the overwritten trace, not read it
+    rng = np.random.default_rng(17)
+    net = random_net(rng, [4, 6, 3], "tanh")
+    X, C = rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
+    tr = net.forward(X, scratch=net.reset_scratch(8, "train", 1))
+    deltas = net.backprop_deltas(tr, C)
+    kept = net.forward(X)  # no scratch: never stale
+    net.forward(rng.standard_normal((8, 4)), mode="eval", scratch=net.reset_scratch(8, "eval"))
+    with pytest.raises(StaleTraceError, match="scratch"):
+        net.backprop_deltas(tr, C)
+    with pytest.raises(StaleTraceError, match="scratch"):
+        net.grad_from_deltas(tr, deltas)
+    with pytest.raises(StaleTraceError, match="scratch"):
+        net.qd_batch_terms(tr, deltas)
+    net.grad_from_deltas(kept, net.backprop_deltas(kept, C))
 
 
 def test_scratch_never_grows_within_a_pass():

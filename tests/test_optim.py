@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from qdgrad.data import Dataset
 from qdgrad.harness import eval_metrics
-from qdgrad.metric import CHUNK_FLOATS, QDMetric, qd_reduce
+from qdgrad.metric import CHUNK_FLOATS, QDMetric
 from qdgrad.network import Network, make_sparse_layout
 from qdgrad.optim import (
     ALGOS,
     DivergenceError,
     OptimizerConfig,
     OptimizerState,
-    metric_warmup,
+    _metric_batch,
     optimizer_step,
 )
 from qdgrad.outputs import BernoulliOutput, CategoricalOutput, GaussianOutput
+from qdgrad.verify import qd_reduce
 
 
 def bias_only_net(theta0):
@@ -255,69 +256,61 @@ def test_moving_average_second_step_uses_gamma():
     np.testing.assert_allclose(state.metric.diag, 0.75 * m1 + 0.25 * m1, rtol=1e-6)
 
 
-def test_metric_warmup_equals_first_step_metric_and_is_linear():
+def first_step_metric(net, model, X, T, cfg):
+    """The metric after one step from a fresh state; net is left as it was."""
+    state = OptimizerState(net, cfg)
+    optimizer_step(net.copy(), model, X, T, state, cfg)
+    return state.metric
+
+
+def test_first_step_metric_is_the_batch_metric_and_is_linear():
+    # gamma = 1 on an uninitialized metric: the first step's metric is the
+    # minibatch terms themselves, so it is linear in the batch
     rng = np.random.default_rng(6)
     net, model, X, T = random_problem(rng, [3, 4, 2], 2, batch=8)
     cfg = OptimizerConfig("qdop", eta=0.1)
 
-    st_warm = OptimizerState(net, cfg)
-    metric_warmup(net, model, X, T, st_warm, cfg)
-    assert st_warm.metric.initialized
+    whole = first_step_metric(net, model, X, T, cfg)
+    assert whole.initialized
+    tr = net.forward(X, mode="train")
+    deltas = net.backprop_deltas(tr, model.loss_output_grad(tr.output, T))
+    diag, row = _metric_batch(net, model, tr, deltas, cfg, None)
+    np.testing.assert_array_equal(whole.diag, diag)
+    np.testing.assert_array_equal(whole.row, row)
 
-    st_step = OptimizerState(net.copy(), cfg)
-    net2 = net.copy()
-    optimizer_step(net2, model, X, T, st_step, cfg)
-    np.testing.assert_array_equal(st_warm.metric.diag, st_step.metric.diag)
-    np.testing.assert_array_equal(st_warm.metric.row, st_step.metric.row)
-
-    st_a = OptimizerState(net, cfg)
-    st_b = OptimizerState(net, cfg)
-    metric_warmup(net, model, X[:3], T[:3], st_a, cfg)
-    metric_warmup(net, model, X[3:], T[3:], st_b, cfg)
-    blend = (3 * st_a.metric.diag + 5 * st_b.metric.diag) / 8
-    np.testing.assert_allclose(st_warm.metric.diag, blend, rtol=1e-12)
-
-    with pytest.raises(ValueError):
-        metric_warmup(net, model, X[:0], T[:0], OptimizerState(net, cfg), cfg)
+    a = first_step_metric(net, model, X[:3], T[:3], cfg)
+    b = first_step_metric(net, model, X[3:], T[3:], cfg)
+    np.testing.assert_allclose(whole.diag, (3 * a.diag + 5 * b.diag) / 8, rtol=1e-12)
+    np.testing.assert_allclose(whole.row, (3 * a.row + 5 * b.row) / 8, rtol=1e-12)
 
 
-@pytest.mark.parametrize("algo", ["dop", "qdop"])
-def test_metric_warmup_raises_on_a_non_finite_metric_and_keeps_the_state(algo):
+@pytest.mark.filterwarnings("error")  # no "Mean of empty slice" either
+@pytest.mark.parametrize("algo", ["sgd", "qdop"])
+def test_a_step_on_an_empty_batch_raises_before_any_work(algo):
     rng = np.random.default_rng(6)
-    net = Network([3, 4, 2], "sigmoid")
-    net.init_params(rng)
-    model = GaussianOutput(2)
-    X = rng.uniform(0.0, 1.0, size=(5, 3))
-    T = rng.standard_normal((5, 2))
+    net, model, X, T = random_problem(rng, [3, 4, 2], 2)
     cfg = OptimizerConfig(algo, eta=0.1)
     state = OptimizerState(net, cfg)
-    metric_warmup(net, model, X, T, state, cfg)
-    metric = state.metric.copy()
-    with np.errstate(over="raise", invalid="raise"):  # and no overflow warning either
-        with pytest.raises(DivergenceError):
-            metric_warmup(net, model, X, T * 1e300, state, cfg)
-    np.testing.assert_array_equal(state.metric.diag, metric.diag)
-    np.testing.assert_array_equal(state.metric.row, metric.row)
-    assert state.metric.initialized
-    optimizer_step(net, model, X, T, state, cfg)  # the metric is still usable
+    theta = net.get_params()
+    with pytest.raises(ValueError, match="at least one sample"):
+        optimizer_step(net, model, X[:0], T[:0], state, cfg)
+    np.testing.assert_array_equal(net.theta, theta)
+    assert state.t == 0 and net.scratch.passes == 0
 
 
 def test_warmed_metric_solves_with_zero_epsilon():
     rng = np.random.default_rng(7)
     net, model, X, T = random_problem(rng, [4, 5, 3], 3, batch=16)
-    cfg = OptimizerConfig("qdop", eta=0.1, epsilon=0.0)
-    state = OptimizerState(net, cfg)
-    metric_warmup(net, model, X, T, state, cfg)
+    metric = first_step_metric(net, model, X, T, OptimizerConfig("qdop", eta=0.1, epsilon=0.0))
     tr = net.forward(X, mode="eval")
     g = net.backprop(tr, model.loss_output_grad(tr.output, T)) / len(X)
-    assert np.isfinite(state.metric.solve(g, 0.0)).all()
+    assert np.isfinite(metric.solve(g, 0.0)).all()
 
 
 def test_mcnat_metric_expectation_matches_nat():
     # E over pseudo-targets of the mc metric is the exact Fisher metric
     rng = np.random.default_rng(8)
     net, model, X, T = random_problem(rng, [2, 3, 2], 2, batch=2)
-    from qdgrad.optim import _metric_batch
 
     tr = net.forward(X, mode="eval")
     cfg_mc = OptimizerConfig("qdmcnat", eta=0.1)

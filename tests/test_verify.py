@@ -10,6 +10,7 @@ from qdgrad.verify import (
     CheckResult,
     one_step_gaps,
     pairwise_solve_oracle,
+    rank_one_update,
     rescaling_trajectory_gaps,
     run_suite,
 )
@@ -90,7 +91,7 @@ def test_pairwise_oracle_matches_dense_on_handmade_metric():
     m = QDMetric(layout, quasi=True)
     rng = np.random.default_rng(5)
     for _ in range(4):
-        m.rank_one_update(rng.standard_normal(layout.dim), 1.0)
+        rank_one_update(m, rng.standard_normal(layout.dim), 1.0)
     v = rng.standard_normal(layout.dim)
     ref = pairwise_solve_oracle(m, v)
     # block of length 2 admits a full dense solve; compare that slice
