@@ -1,24 +1,22 @@
 """Command-line interface: train, grid, bench, and verify subcommands.
 
-Options may come from a flat key=value config file (--config); explicit
-flags override file values, which override built-in defaults.
+OPTIONS declares every option once. It builds the flags, and a flat key=value
+config file (--config) goes through the same converters and allowed values.
+Flags override file values, which override built-in defaults.
 """
 
 import argparse
 import sys
+from collections import namedtuple
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .data import generate_eeg, load_csv, load_idx
-from .harness import (
-    DEFAULT_ETA_GRID,
-    RunConfig,
-    RunConfigError,
-    benchmark,
-    grid_search,
-    parse_config_file,
-    run_training,
-)
+from .harness import (DEFAULT_ETA_GRID, RunConfig, RunConfigError, benchmark, grid_search,
+                      parse_config_file, run_training)
+from .network import ACTIVATIONS
 from .optim import ALGOS
+from .outputs import OUTPUT_MODELS
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -28,8 +26,6 @@ MNIST_LABELS = "train-labels-idx1-ubyte"
 
 
 def _parse_bool(s):
-    if isinstance(s, bool):
-        return s
     if s.lower() in ("1", "true", "yes", "on"):
         return True
     if s.lower() in ("0", "false", "no", "off"):
@@ -37,169 +33,136 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_ints(s):
-    return [int(v) for v in str(s).split(",") if v.strip()]
+def _parse_list(conv):
+    def parse(s):
+        return [conv(v.strip()) for v in s.split(",") if v.strip()]
+    parse.__name__ = f"{conv.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
 
 
-def _parse_floats(s):
-    return [float(v) for v in str(s).split(",") if v.strip()]
+def _given(**kwargs) -> dict:
+    """The arguments that are set, so that the callee's defaults fill the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _parse_names(s):
-    return [v.strip() for v in str(s).split(",") if v.strip()]
+def _mnist(opt):
+    d = Path(opt["data_dir"])
+    images, labels = d / MNIST_IMAGES, d / MNIST_LABELS
+    if not images.exists() or not labels.exists():
+        raise SystemExit(f"MNIST IDX files not found under {d} "
+                         f"(expected {MNIST_IMAGES} and {MNIST_LABELS})")
+    n_valid = opt["n_valid"]
+    return load_idx(images, labels, n_valid=10_000 if n_valid is None else n_valid)
 
 
-# dest -> (converter, default); the single source of truth for option merging
+def _csv(opt):
+    if not opt["csv"]:
+        raise SystemExit("--dataset csv needs --csv PATH")
+    return load_csv(opt["csv"], **_given(target_columns=opt["csv_targets"],
+                                         has_header=opt["csv_header"], n_valid=opt["n_valid"]))
+
+
+def _eeg(opt):
+    return generate_eeg(opt["eeg_samples"], seed=opt["seed"],
+                        **_given(n_channels=opt["eeg_channels"], n_valid=opt["n_valid"]))
+
+
+DATASETS = {"mnist": _mnist, "csv": _csv, "synthetic-eeg": _eeg}
+
+
+# dest -> Option; the flag is --dest with "-" for "_", and the config key is either form.
+# group: the --help section, or the one command that has the flag; conv: string -> value;
+# default: None is unset, or RunConfig's default for its fields; choices: allowed values
+Option = namedtuple("Option", "group conv default choices help", defaults=(str, None, None, None))
 OPTIONS = {
-    "dataset": (str, "mnist"),
-    "data_dir": (str, "."),
-    "csv": (str, None),
-    "csv_targets": (_parse_ints, None),
-    "csv_header": (_parse_bool, False),
-    "eeg_samples": (int, 2048),
-    "eeg_channels": (int, 56),
-    "n_valid": (int, None),
-    "train_limit": (int, None),
-    "arch": (_parse_ints, None),
-    "activation": (str, "sigmoid"),
-    "output": (str, "categorical"),
-    "algo": (str, "sgd"),
-    "algos": (_parse_names, None),
-    "lr": (float, 0.01),
-    "lr_grid": (_parse_floats, None),
-    "gamma": (float, 0.01),
-    "epsilon": (float, 1e-8),
-    "nmc": (int, 1),
-    "epochs": (int, 1),
-    "batch_size": (int, 100),
-    "dropout": (float, 0.0),
-    "sparsity": (int, None),
-    "invert_inputs": (_parse_bool, False),
-    "seed": (int, 0),
-    "log": (str, None),
-    "checkpoint": (str, None),
-    "suite": (str, "all"),
+    "dataset": Option("data", default="mnist", choices=list(DATASETS)),
+    "data_dir": Option("data", default=".", help="directory holding the MNIST IDX files"),
+    "csv": Option("data", help="CSV file for --dataset csv"),
+    "csv_targets": Option("data", _parse_list(int), help="comma-separated target column indices"),
+    "csv_header": Option("data", _parse_bool, help="skip the first CSV line"),
+    "eeg_samples": Option("data", int, 2048),
+    "eeg_channels": Option("data", int),
+    "n_valid": Option("data", int, help="validation rows taken from the end"),
+    "train_limit": Option("data", int, help="cap on training rows"),
+    "invert_inputs": Option("data", _parse_bool, help="train on 1 - x instead of x"),
+    "arch": Option("model", _parse_list(int), help='layer sizes, e.g. "784,100,10"'),
+    "activation": Option("model", choices=ACTIVATIONS),
+    "output": Option("model", choices=list(OUTPUT_MODELS)),
+    "dropout": Option("model", float),
+    "sparsity": Option("model", int, help="random incoming connections per hidden unit"),
+    "algo": Option("optimization", choices=ALGOS),
+    "lr": Option("optimization", float),
+    "lr_grid": Option("optimization", _parse_list(float),
+                      help='step-sizes for grid, e.g. "1e-4,1e-3,1e-2"'),
+    "gamma": Option("optimization", float),
+    "epsilon": Option("optimization", float),
+    "nmc": Option("optimization", int),
+    "epochs": Option("optimization", int),
+    "batch_size": Option("optimization", int),
+    "seed": Option("optimization", int),
+    "log": Option("outputs", help="CSV log path"),
+    "checkpoint": Option("outputs", help="final model checkpoint path (.npz)"),
+    "algos": Option("bench", _parse_list(str), help='algorithms to time, e.g. "sgd,qdop,qdnat"'),
+    "suite": Option("verify", default="all", choices=[*sorted(SUITES), "all"]),
 }
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("data")
-    g.add_argument("--config", help="flat key=value option file; flags override it")
-    g.add_argument("--dataset", choices=["mnist", "csv", "synthetic-eeg"])
-    g.add_argument("--data-dir", help="directory holding the MNIST IDX files")
-    g.add_argument("--csv", help="CSV file for --dataset csv")
-    g.add_argument("--csv-targets", help="comma-separated target column indices")
-    g.add_argument("--csv-header", action="store_true", default=None,
-                   help="skip the first CSV line")
-    g.add_argument("--eeg-samples", type=int)
-    g.add_argument("--eeg-channels", type=int)
-    g.add_argument("--n-valid", type=int, help="validation rows taken from the end")
-    g.add_argument("--train-limit", type=int, help="cap on training rows")
-    g.add_argument("--invert-inputs", action="store_true", default=None,
-                   help="train on 1 - x instead of x")
-
-    m = common.add_argument_group("model")
-    m.add_argument("--arch", help='layer sizes, e.g. "784,100,10"')
-    m.add_argument("--activation", choices=["sigmoid", "tanh", "relu"])
-    m.add_argument("--output",
-                   choices=["categorical", "gaussian", "gaussian-learned", "bernoulli"])
-    m.add_argument("--dropout", type=float)
-    m.add_argument("--sparsity", type=int, metavar="FAN_IN",
-                   help="random incoming connections per hidden unit")
-
-    o = common.add_argument_group("optimization")
-    o.add_argument("--algo", choices=list(ALGOS))
-    o.add_argument("--lr", type=float)
-    o.add_argument("--lr-grid", help='step-sizes for grid, e.g. "1e-4,1e-3,1e-2"')
-    o.add_argument("--gamma", type=float)
-    o.add_argument("--epsilon", type=float)
-    o.add_argument("--nmc", type=int)
-    o.add_argument("--epochs", type=int)
-    o.add_argument("--batch-size", type=int)
-    o.add_argument("--seed", type=int)
-
-    io = common.add_argument_group("outputs")
-    io.add_argument("--log", help="CSV log path")
-    io.add_argument("--checkpoint", help="final model checkpoint path (.npz)")
-
-    p = argparse.ArgumentParser(prog="qdgrad",
-                                description="Quasi-diagonal Riemannian training")
+    p = argparse.ArgumentParser(prog="qdgrad", description="Quasi-diagonal Riemannian training")
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("train", parents=[common], help="run one training config")
-    sub.add_parser("grid", parents=[common], help="step-size grid search")
-    b = sub.add_parser("bench", parents=[common], help="per-epoch timing ratios")
-    b.add_argument("--algos", help='algorithms to time, e.g. "sgd,qdop,qdnat"')
-    v = sub.add_parser("verify", parents=[common],
-                       help="run built-in verification suites")
-    v.add_argument("--suite", choices=sorted(SUITES) + ["all"])
+    all_groups = dict.fromkeys(o.group for o in OPTIONS.values())
+    for name, (_, about) in COMMANDS.items():
+        # an unset flag stays out of the namespace, so it overrides nothing
+        cmd = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
+        groups = {g: cmd.add_argument_group(g) for g in all_groups
+                  if g not in COMMANDS or g == name}
+        groups["data"].add_argument("--config",
+                                    help="flat key=value option file; flags override it")
+        for dest, o in OPTIONS.items():
+            if o.group in groups:
+                kw = ({"action": "store_true"} if o.conv is _parse_bool
+                      else {"type": o.conv, "choices": o.choices})
+                groups[o.group].add_argument("--" + dest.replace("_", "-"), help=o.help, **kw)
     return p
 
 
 def _merge_options(args) -> dict:
     """builtin defaults < config file < explicit flags."""
-    merged = {dest: default for dest, (_, default) in OPTIONS.items()}
+    run = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    merged = {dest: run.get(dest, o.default) for dest, o in OPTIONS.items()}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             dest = key.replace("-", "_")
             if dest not in OPTIONS:
                 raise SystemExit(f"config file: unknown option {key!r}")
-            conv = OPTIONS[dest][0]
             try:
-                merged[dest] = conv(raw)
+                val = OPTIONS[dest].conv(raw)
             except ValueError as e:
                 raise SystemExit(f"config file: bad value for {key!r}: {e}")
-    for dest in OPTIONS:
-        val = getattr(args, dest, None)
-        if val is not None:
-            conv = OPTIONS[dest][0]
-            merged[dest] = conv(val) if isinstance(val, str) else val
+            choices = OPTIONS[dest].choices
+            if choices is not None and val not in choices:
+                raise RunConfigError(f"unknown {dest} {val!r}; choose from {', '.join(choices)}")
+            merged[dest] = val
+    merged.update((dest, v) for dest, v in vars(args).items() if dest in OPTIONS)
     return merged
 
 
 def _load_dataset(opt):
     """The run's dataset; a ValueError while it is built is a RunConfigError."""
-    n_valid = opt["n_valid"]
+    limit = opt["train_limit"]
+    if limit is not None and limit < 1:
+        raise RunConfigError(f"train limit must be at least 1, got {limit}")
     try:
-        if opt["dataset"] == "mnist":
-            d = Path(opt["data_dir"])
-            images, labels = d / MNIST_IMAGES, d / MNIST_LABELS
-            if not images.exists() or not labels.exists():
-                raise SystemExit(
-                    f"MNIST IDX files not found under {d} "
-                    f"(expected {MNIST_IMAGES} and {MNIST_LABELS})"
-                )
-            ds = load_idx(images, labels, n_valid=10_000 if n_valid is None else n_valid)
-        elif opt["dataset"] == "csv":
-            if not opt["csv"]:
-                raise SystemExit("--dataset csv needs --csv PATH")
-            ds = load_csv(opt["csv"], target_columns=opt["csv_targets"],
-                          has_header=opt["csv_header"],
-                          n_valid=0 if n_valid is None else n_valid)
-        elif opt["dataset"] == "synthetic-eeg":
-            ds = generate_eeg(opt["eeg_samples"], n_channels=opt["eeg_channels"],
-                              seed=opt["seed"],
-                              n_valid=0 if n_valid is None else n_valid)
-        else:
-            raise SystemExit(f"unknown dataset {opt['dataset']!r}")
+        ds = DATASETS[opt["dataset"]](opt)
     except ValueError as e:
         raise RunConfigError(str(e)) from e
-    if opt["train_limit"] is not None:
-        ds = ds.with_split(ds.train_idx[: opt["train_limit"]], ds.valid_idx)
-    return ds
+    return ds if limit is None else replace(ds, train_idx=ds.train_idx[:limit])
 
 
 def _run_config(opt) -> RunConfig:
     if opt["arch"] is None:
         raise SystemExit("--arch is required (e.g. --arch 784,100,10)")
-    return RunConfig(
-        arch=opt["arch"], activation=opt["activation"], output=opt["output"],
-        algo=opt["algo"], lr=opt["lr"], gamma=opt["gamma"],
-        epsilon=opt["epsilon"], nmc=opt["nmc"], epochs=opt["epochs"],
-        batch_size=opt["batch_size"], dropout=opt["dropout"],
-        sparsity=opt["sparsity"], invert_inputs=opt["invert_inputs"],
-        seed=opt["seed"], log=opt["log"], checkpoint=opt["checkpoint"],
-    )
+    return RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig)})
 
 
 def cmd_train(opt) -> int:
@@ -219,45 +182,48 @@ def cmd_train(opt) -> int:
 
 def cmd_grid(opt) -> int:
     ds = _load_dataset(opt)
-    etas = opt["lr_grid"] if opt["lr_grid"] else DEFAULT_ETA_GRID
+    etas = DEFAULT_ETA_GRID if opt["lr_grid"] is None else opt["lr_grid"]
     res = grid_search(ds, _run_config(opt), etas)
-    for line in res.summary_lines():
-        print(line)
+    print("\n".join(res.summary_lines()))
     return 0 if res.best is not None else 1
 
 
 def cmd_bench(opt) -> int:
     ds = _load_dataset(opt)
-    res = benchmark(ds, _run_config(opt), algos=opt["algos"],
-                    epochs=max(3, opt["epochs"]))
-    for line in res.summary_lines():
-        print(line)
+    res = benchmark(ds, _run_config(opt), algos=opt["algos"], epochs=max(3, opt["epochs"]))
+    print("\n".join(res.summary_lines()))
     return 0
 
 
 def cmd_verify(opt) -> int:
-    choices = sorted(SUITES) + ["all"]
-    if opt["suite"] not in choices:  # argparse checks the flag, not a config file
-        raise RunConfigError(f"unknown suite {opt['suite']!r}; choose from {', '.join(choices)}")
-    names = sorted(SUITES) if opt["suite"] == "all" else [opt["suite"]]
     ok = True
-    for name in names:
+    for name in sorted(SUITES) if opt["suite"] == "all" else [opt["suite"]]:
         result = run_suite(name)
         print(result.summary())
         ok &= result.passed
     return 0 if ok else 1
 
 
+# command -> (handler, help)
+COMMANDS = {
+    "train": (cmd_train, "run one training config"),
+    "grid": (cmd_grid, "step-size grid search"),
+    "bench": (cmd_bench, "per-epoch timing ratios"),
+    "verify": (cmd_verify, "run built-in verification suites"),
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    opt = _merge_options(args)
-    handler = {"train": cmd_train, "grid": cmd_grid,
-               "bench": cmd_bench, "verify": cmd_verify}[args.command]
     try:
-        return handler(opt)
+        return COMMANDS[args.command][0](_merge_options(args))
     except RunConfigError as e:  # raised only while a run is built, never by a step
         print(f"qdgrad: error: {e}", file=sys.stderr)
         return 2
+    except SystemExit as e:  # a message for the user, with argparse's usage status
+        print(f"qdgrad: error: {e}", file=sys.stderr)
+        e.code = 2
+        raise
 
 
 if __name__ == "__main__":

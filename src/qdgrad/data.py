@@ -8,7 +8,7 @@ reconstruction target tracks the inversion of the features for free).
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,12 +89,6 @@ class Dataset:
         if self.target_kind == "self":
             return self.features[idx]
         return self.targets[idx]
-
-    def with_split(self, train_idx, valid_idx) -> "Dataset":
-        return Dataset(
-            self.features, self.targets if self.target_kind != "self" else None,
-            self.target_kind, self.n_classes, train_idx, valid_idx,
-        )
 
 
 def split_last(n, n_valid):
@@ -233,10 +227,7 @@ def invert_features(ds: Dataset) -> Dataset:
     """
     if ds.features.min() < 0.0 or ds.features.max() > 1.0:
         raise ValueError("inversion expects features in [0, 1]")
-    return Dataset(
-        1.0 - ds.features, ds.targets if ds.target_kind != "self" else None,
-        ds.target_kind, ds.n_classes, ds.train_idx, ds.valid_idx,
-    )
+    return replace(ds, features=1.0 - ds.features)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +245,8 @@ def generate_eeg(n_samples, n_channels=56, n_sources=8, noise=0.05,
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples to span [0, 1]")
+    if n_channels < 1:
+        raise ValueError(f"need at least 1 channel, got {n_channels}")
     rng = np.random.default_rng(seed)
     t = np.arange(n_samples) / 128.0  # nominal sample rate
     freqs = rng.uniform(0.5, 30.0, size=n_sources)

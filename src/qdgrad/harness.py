@@ -2,7 +2,7 @@
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +38,9 @@ class RunConfig:
     output: str = "categorical"
     algo: str = "sgd"
     lr: float = 0.01
-    gamma: float = 0.01
-    epsilon: float = 1e-8
-    nmc: int = 1
+    gamma: float = OptimizerConfig.gamma
+    epsilon: float = OptimizerConfig.epsilon
+    nmc: int = OptimizerConfig.n_mc
     epochs: int = 1
     batch_size: int = 100
     dropout: float = 0.0
@@ -163,6 +163,8 @@ def _build(ds: Dataset, config: RunConfig):
             raise ValueError("class targets need a categorical output")
         if config.batch_size < 1:
             raise ValueError(f"batch size must be at least 1, got {config.batch_size}")
+        if config.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {config.epochs}")
         rng = np.random.default_rng(config.seed)
         masks = None
         if config.sparsity is not None:
@@ -270,7 +272,7 @@ def grid_search(ds: Dataset, config: RunConfig, etas) -> GridResult:
     """
     etas = sorted(set(float(e) for e in etas))
     if not etas:
-        raise ValueError("grid needs at least one step-size")
+        raise RunConfigError("grid needs at least one step-size")
     entries = []
     for eta in etas:
         sub = replace(config, lr=eta,

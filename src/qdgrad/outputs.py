@@ -14,6 +14,7 @@ what backprop returns for output-layer seed g.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -24,6 +25,7 @@ __all__ = [
     "CategoricalOutput",
     "GaussianOutput",
     "BernoulliOutput",
+    "OUTPUT_MODELS",
     "make_output_model",
 ]
 
@@ -66,7 +68,6 @@ class CategoricalOutput(OutputModel):
     """Softmax over K classes with log-loss."""
 
     kind = "categorical"
-    target_kind = "class"
 
     def __init__(self, k: int):
         self.k = int(k)
@@ -117,7 +118,6 @@ class GaussianOutput(OutputModel):
     """
 
     kind = "gaussian"
-    target_kind = "vector"
 
     def __init__(self, k: int, sigma=1.0, learn_variance: bool = False):
         self.k = int(k)
@@ -174,7 +174,6 @@ class BernoulliOutput(OutputModel):
     """Independent Bernoulli units; network output holds per-unit logits."""
 
     kind = "bernoulli"
-    target_kind = "vector"
 
     def __init__(self, k: int):
         self.k = int(k)
@@ -210,13 +209,16 @@ class BernoulliOutput(OutputModel):
         return np.mean((self.probs(y) - t) ** 2, axis=1)
 
 
+# kind -> constructor taking the output width
+OUTPUT_MODELS = {
+    "categorical": CategoricalOutput,
+    "gaussian": GaussianOutput,
+    "gaussian-learned": partial(GaussianOutput, learn_variance=True),
+    "bernoulli": BernoulliOutput,
+}
+
+
 def make_output_model(kind: str, k: int) -> OutputModel:
-    if kind == "categorical":
-        return CategoricalOutput(k)
-    if kind == "gaussian":
-        return GaussianOutput(k)
-    if kind == "gaussian-learned":
-        return GaussianOutput(k, learn_variance=True)
-    if kind == "bernoulli":
-        return BernoulliOutput(k)
-    raise ValueError(f"unknown output model {kind!r}")
+    if kind not in OUTPUT_MODELS:
+        raise ValueError(f"unknown output model {kind!r}")
+    return OUTPUT_MODELS[kind](k)

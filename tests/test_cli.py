@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import write_csv
 
-from qdgrad.cli import main
+from qdgrad.cli import _build_parser, main
 from qdgrad.data import generate_eeg
 from qdgrad.harness import TrainLog
 from qdgrad.network import load_checkpoint
@@ -102,6 +102,7 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     (["--output", "categorical"], "categorical output needs class targets"),
     (["--epsilon", "nan"], "epsilon must be a nonnegative finite number"),
     (["--batch-size", "0"], "batch size must be at least 1, got 0"),
+    (["--epochs", "-1"], "epochs must be at least 0, got -1"),
 ])
 def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, message):
     # status 2 with the message, not a traceback; status 1 means "diverged"
@@ -116,9 +117,18 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, messag
      "op-quadratic, qdsolve-oracle, all"),
     (["--eeg-samples", "1"], None, "need at least 2 samples to span [0, 1]"),
     (["--eeg-samples", "32", "--n-valid", "40"], None, "validation size out of range"),
+    (["train"], "dataset = foo\n",
+     "unknown dataset 'foo'; choose from mnist, csv, synthetic-eeg"),
+    (["train"], "activation = softplus\n",
+     "unknown activation 'softplus'; choose from sigmoid, tanh, relu"),
+    (["--train-limit", "0"], None, "train limit must be at least 1, got 0"),
+    (["--train-limit", "-60"], None, "train limit must be at least 1, got -60"),
+    (["--eeg-channels", "0", "--arch", "0,6,0"], None, "need at least 1 channel, got 0"),
+    (["grid", "--lr-grid=,"], "dataset = synthetic-eeg\neeg-samples = 32\neeg-channels = 4\n"
+     "arch = 4,3,4\noutput = gaussian\n", "grid needs at least one step-size"),
 ])
 def test_dataset_and_suite_errors_are_usage_errors(tmp_path, capsys, argv, config, message):
-    # argparse checks --suite's flag only, and the dataset is built before the run
+    # config values meet the flags' allowed values, and the dataset is built before the run
     if config is None:
         argv = eeg_args(tmp_path, *argv)
     else:
@@ -126,6 +136,24 @@ def test_dataset_and_suite_errors_are_usage_errors(tmp_path, capsys, argv, confi
         argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
+
+
+COMMON_FLAGS = [
+    "--activation", "--algo", "--arch", "--batch-size", "--checkpoint", "--config", "--csv",
+    "--csv-header", "--csv-targets", "--data-dir", "--dataset", "--dropout", "--eeg-channels",
+    "--eeg-samples", "--epochs", "--epsilon", "--gamma", "--help", "--invert-inputs", "--log",
+    "--lr", "--lr-grid", "--n-valid", "--nmc", "--output", "--seed", "--sparsity",
+    "--train-limit", "-h",
+]
+
+
+@pytest.mark.parametrize("command, own", [
+    ("train", []), ("grid", []), ("bench", ["--algos"]), ("verify", ["--suite"]),
+])
+def test_each_command_has_the_shared_flags_and_its_own(command, own):
+    parser = _build_parser()._subparsers._group_actions[0].choices[command]
+    flags = sorted(s for action in parser._actions for s in action.option_strings)
+    assert flags == sorted(COMMON_FLAGS + own)
 
 
 def test_config_file_supplies_options(tmp_path):
