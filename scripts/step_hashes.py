@@ -4,9 +4,10 @@
 For each workload of perfbench/workloads.py, builds it at seed 7, takes 6
 optimizer steps on its shuffled minibatches, and prints the first 16 hex
 digits of the sha256 of theta, of the metric's diagonal and of its row,
-then eval_metrics on the held-out rows. Two trees that print the same
-lines computed the same floats in those steps. Run from the repository
-root:
+then eval_metrics on the held-out rows, and last the size in floats of
+net.scratch after the steps and after the evaluation. Two trees that print
+the same hash lines computed the same floats in those steps. Run from the
+repository root:
 
     PYTHONPATH=src python3 scripts/step_hashes.py
 
@@ -63,8 +64,11 @@ def main() -> int:
                                      s.ds.target_batch(batch), s.state, s.cfg, s.rng)
             metric = s.state.metric
             hashes = " / ".join(_digest(a) for a in (s.net.theta, metric.diag, metric.row))
+            step_floats = s.net.scratch.buf.size
             evaluation = harness.eval_metrics(s.net, s.model, s.ds, s.ds.valid_idx)
             print(f"{w.name}: theta / diag / row {hashes}; eval_metrics {evaluation}")
+            print(f"{w.name}: scratch floats {step_floats} after the steps, "
+                  f"{s.net.scratch.buf.size} after the evaluation")
     return 0
 
 

@@ -235,8 +235,11 @@ def invert_features(ds: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def generate_eeg(n_samples, n_channels=56, n_sources=8, noise=0.05,
-                 seed=0, n_valid=0) -> Dataset:
+EEG_SOURCES = 8  # shared sine sources behind the channels of generate_eeg
+EEG_NOISE = 0.05  # standard deviation of its white noise, before normalization
+
+
+def generate_eeg(n_samples, n_channels=56, seed=0, n_valid=0) -> Dataset:
     """Correlated multichannel sinusoid mixtures, per-channel min-maxed to [0,1].
 
     Channels are random linear mixtures of a few shared sine sources plus
@@ -249,11 +252,11 @@ def generate_eeg(n_samples, n_channels=56, n_sources=8, noise=0.05,
         raise ValueError(f"need at least 1 channel, got {n_channels}")
     rng = np.random.default_rng(seed)
     t = np.arange(n_samples) / 128.0  # nominal sample rate
-    freqs = rng.uniform(0.5, 30.0, size=n_sources)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_sources)
+    freqs = rng.uniform(0.5, 30.0, size=EEG_SOURCES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=EEG_SOURCES)
     sources = np.sin(2.0 * np.pi * freqs * t[:, None] + phases)
-    mixing = rng.standard_normal((n_channels, n_sources))
-    x = sources @ mixing.T + noise * rng.standard_normal((n_samples, n_channels))
+    mixing = rng.standard_normal((n_channels, EEG_SOURCES))
+    x = sources @ mixing.T + EEG_NOISE * rng.standard_normal((n_samples, n_channels))
     x = _normalize_columns(x)
     train_idx, valid_idx = split_last(n_samples, n_valid)
     return Dataset(x, None, "self", None, train_idx, valid_idx)

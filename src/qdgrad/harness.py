@@ -137,8 +137,7 @@ def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(idx), EVAL_CHUNK):
             sel = idx[lo : lo + EVAL_CHUNK]
-            scratch = net.reset_scratch(len(sel), "eval")
-            y = net.forward(ds.features[sel], mode="eval", scratch=scratch).output
+            y = net.forward(ds.features[sel], mode="eval", scratch=net.scratch).output
             t = ds.target_batch(sel)
             loss_sum += float(np.sum(model.loss(y, t)))
             err_sum += float(np.sum(model.error(y, t)))
@@ -342,15 +341,22 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; # starts a comment; values stay as strings."""
+    """Flat key=value lines; # starts a comment; values stay as strings.
+
+    An unreadable file or a line without = raises RunConfigError.
+    """
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as e:
+        raise RunConfigError(f"{path}: {e.strerror}") from e
+    with fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
+                raise RunConfigError(f"{path}:{line_no}: expected key=value")
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out

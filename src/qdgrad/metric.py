@@ -53,7 +53,7 @@ class MetricError(ValueError):
     """Structural or numerical misuse of a QD metric."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockLayout:
     """Partition of a flat parameter vector into per-unit blocks.
 
@@ -64,7 +64,7 @@ class BlockLayout:
     lengths: np.ndarray
     starts: np.ndarray = field(init=False)
     dim: int = field(init=False)
-    _groups: list = field(init=False, repr=False, compare=False)
+    _groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=np.int64)
@@ -96,11 +96,6 @@ class BlockLayout:
         on whole layers at once instead of looping over units.
         """
         return self._groups
-
-    def __eq__(self, other):
-        return isinstance(other, BlockLayout) and np.array_equal(
-            self.lengths, other.lengths
-        )
 
 
 class QDMetric:

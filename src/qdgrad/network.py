@@ -38,10 +38,12 @@ given a Scratch: then the pass carves them as views of its one flat
 buffer, with the same shapes, memory orders and floats. The trace records
 where its arrays came from, and backprop_deltas, grad_from_deltas and
 qd_batch_terms carve theirs there too. Each network owns one Scratch,
-net.scratch, which the training step and evaluation share. reset_scratch
-starts a pass and overwrites the previous one, whose trace then raises
-StaleTraceError in those readers. A caller that keeps a trace passes no
-scratch.
+net.scratch, which the training step and evaluation share. A forward on a
+scratch starts a pass: it resets the scratch to the size its batch and
+mode need and overwrites the previous pass, whose trace then raises
+StaleTraceError in those readers. A training pass holds at most two sets
+of backprop deltas at once, the gradient's and one metric term's. A caller
+that keeps a trace passes no scratch.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -167,12 +169,8 @@ def _matmul(P, x, out):
         return np.matmul(P, x, out=out)
     out.fill(0.0)
     (M, N), k = P.shape, x.shape[1]
-    if k == 1:  # scipy's matrix-vector path
-        kernel = getattr(_sparsetools, P.format + "_matvec")
-        kernel(M, N, P.indptr, P.indices, P.data, x.ravel(), out.ravel())
-    else:
-        kernel = getattr(_sparsetools, P.format + "_matvecs")
-        kernel(M, N, k, P.indptr, P.indices, P.data, x.ravel(), out.ravel())
+    kernel = getattr(_sparsetools, P.format + "_matvecs")
+    kernel(M, N, k, P.indptr, P.indices, P.data, x.ravel(), out.ravel())
     return out
 
 
@@ -334,6 +332,8 @@ class Network:
         sizes = [int(s) for s in sizes]
         if len(sizes) < 2:
             raise ValueError("need at least input and output layers")
+        if min(sizes[1:]) < 1:
+            raise ValueError(f"every layer after the input needs at least 1 unit, got {sizes}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         if not (0.0 <= dropout < 1.0):
@@ -393,25 +393,28 @@ class Network:
 
     # -- forward / backward ----------------------------------------------------
 
-    def reset_scratch(self, b, mode, delta_sets=0) -> Scratch:
-        """net.scratch, reset for one pass over a batch of b rows.
+    def _pass_floats(self, b, mode):
+        """Floats of a pass over a batch of b rows in mode.
 
-        The pass is a forward in mode, then delta_sets sets of backprop
-        deltas alive at once and the metric terms. Every array of the
-        previous pass is overwritten by this one.
+        An eval pass holds its forward arrays. A train pass also holds two
+        sets of backprop deltas at once, the gradient's and one metric
+        term's, and one temporary.
         """
         ins = sum(1 + m for m in self.sizes[:-1])  # [1|a] per weight layer
         floats = ins + sum(self.sizes[1:])  # and the pre-activations
-        dropout = mode == "train" and self.dropout > 0.0
-        if dropout:
-            floats += 2 * sum(self.sizes[1:-1])  # hidden activities and masks
-        floats += delta_sets * (ins - 1 - self.sizes[0])  # d @ P above the first layer
-        if dropout or delta_sets:
+        if mode == "train":
+            if self.dropout > 0.0:
+                floats += 2 * sum(self.sizes[1:-1])  # hidden activities and masks
+            floats += 2 * (ins - 1 - self.sizes[0])  # d @ P above the first layer
             floats += max(1 + m for m in self.sizes[:-1])  # one temporary
-        return self.scratch.reset(floats * b)
+        return floats * b
 
     def forward(self, x, mode="train", rng=None, scratch=None) -> ForwardTrace:
-        """Trace of a forward pass; it and the passes over it carve from scratch if given."""
+        """Trace of a forward pass; it and the passes over it carve from scratch if given.
+
+        A scratch is reset first, sized for the batch and mode, which
+        overwrites every array of its previous pass.
+        """
         if mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
         x = np.asarray(x, dtype=float)
@@ -422,8 +425,8 @@ class Network:
         drop = self.dropout if mode == "train" else 0.0
         if drop > 0.0 and rng is None:
             raise ValueError("dropout in train mode needs an rng")
-        scratch = _NEW_ARRAYS if scratch is None else scratch
         b = x.shape[0]
+        scratch = _NEW_ARRAYS if scratch is None else scratch.reset(self._pass_floats(b, mode))
         a = _with_ones(b, self.sizes[0], scratch)
         a[:, 1:] = x
         inputs = [a]
@@ -504,34 +507,31 @@ class Network:
         """
         return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
-    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, quasi=True, out=None):
+    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, out):
         """Metric terms from per-layer summed weighted squared deltas.
 
         sq_deltas[l] is the (B, sizes[l+1]) array sum_c w_c d_c**2 over
         output seeds c, where d_c are the deltas backprop gives for seed c
-        and w_c its scalar or per-sample weight. Returns flat (diag, row)
-        with
+        and w_c its scalar or per-sample weight. Writes to out = (diag, row)
+        and returns it, with
             diag = sum_s,c w_sc v_sc**2,  row_i = sum_s,c w_sc v_sc0 v_sci,
         where v_sc is the per-sample gradient for seed c. row is None in
-        diagonal mode. With out = (diag, row), the terms are written there
-        (out's row is ignored in diagonal mode). The temporary [1|a**2] of
-        a dense layer is carved from the trace's scratch.
+        diagonal mode. The temporary [1|a**2] of a dense layer is carved
+        from the trace's scratch.
         """
         trace.check_pass()
         scratch = trace.scratch
-        if out is None:
-            out = np.empty(self.layout.dim), np.empty(self.layout.dim) if quasi else None
-        diag, row = out[0], out[1] if quasi else None
+        diag, row = out
         for idx, q, a in zip(self._index, sq_deltas, trace.inputs):
             if idx.dense:
                 with scratch.released():
                     sq = np.multiply(a, a, out=scratch.take(*a.T.shape).T)  # a's memory order
                     np.matmul(q.T, sq, out=idx.matrix(diag))
-                if quasi:
+                if row is not None:
                     np.matmul(q.T, a, out=idx.matrix(row))
             else:
-                idx.sampled_products(q, a, idx.seg(row) if quasi else None, idx.seg(diag))
-            if quasi:
+                idx.sampled_products(q, a, None if row is None else idx.seg(row), idx.seg(diag))
+            if row is not None:
                 idx.seg(row)[idx.indptr[:-1]] = 0.0  # a bias has no row entry with itself
         return diag, row
 

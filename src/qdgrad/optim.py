@@ -35,10 +35,6 @@ ALGOS = ("sgd", "adagrad", "dop", "qdop", "dmcnat", "qdmcnat", "dnat", "qdnat")
 class DivergenceError(RuntimeError):
     """A step produced a non-finite quantity, named in the message; nothing was written."""
 
-    def __init__(self, message, eta=None):
-        super().__init__(message)
-        self.eta = eta
-
 
 @dataclass
 class OptimizerConfig:
@@ -105,28 +101,18 @@ class StepReport:
     step_norm: float
 
 
-def _delta_sets(cfg) -> int:
-    """Sets of backprop deltas a step of cfg keeps alive at once.
-
-    The gradient's; for mcnat and nat the first metric term's too, whose
-    weighted squares the later terms add to, one at a time.
-    """
-    if cfg.algo in ("sgd", "adagrad", "dop", "qdop"):
-        return 1
-    return 2 if cfg.algo.endswith("mcnat") and cfg.n_mc == 1 else 3
-
-
-def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None):
+def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out):
     """Minibatch-averaged metric contribution (diag, row) for cfg.algo.
 
     Each algorithm lists its (output seed, weight) terms, a weight being a
     scalar or one per sample; adagrad and the op variants use the
     gradient's deltas, grad_deltas. The metric depends on the terms only
     through the sum of weight * deltas**2 per layer, so that sum is formed
-    first, in place over the first term's deltas (grad_deltas included),
+    first, in place over grad_deltas, which the gradient no longer needs,
     and the activation products run once, however many terms there are.
-    The later terms' deltas reuse one region of the trace's scratch. The
-    terms are written to out, a (diag, row) pair, if given.
+    A term with a seed of its own backprops into one released region of
+    the trace's scratch, so a step holds at most two sets of deltas. The
+    terms are written to out, a (diag, row) pair.
     """
     y = trace.pre_activations[-1]
     b = y.shape[0]
@@ -138,20 +124,16 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out=None):
     else:  # dnat, qdnat
         terms = ((term.seed, term.weight / b) for term in model.enumerate_fisher_terms(y))
 
-    def weighted_squares(seed, w):
-        deltas = grad_deltas if seed is None else net.backprop_deltas(trace, seed)
-        w = np.reshape(w, (-1, 1))
-        for d in deltas:
-            np.multiply(w, np.square(d, out=d), out=d)  # w * d**2
-        return deltas
-
-    terms = iter(terms)
-    sq_deltas = weighted_squares(*next(terms))
-    for seed, w in terms:
+    for i, (seed, w) in enumerate(terms):
         with trace.scratch.released():
-            for q, d in zip(sq_deltas, weighted_squares(seed, w)):
-                q += d
-    return net.qd_batch_terms(trace, sq_deltas, quasi=cfg.quasi, out=out)
+            deltas = grad_deltas if seed is None else net.backprop_deltas(trace, seed)
+            w = np.reshape(w, (-1, 1))
+            for q, d in zip(grad_deltas, deltas):
+                # w * d**2: the first term's over q, each later one added to it
+                np.multiply(w, np.square(d, out=d), out=d if i else q)
+                if i:
+                    q += d
+    return net.qd_batch_terms(trace, grad_deltas, out)
 
 
 def _finite(a) -> bool:
@@ -174,8 +156,7 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         raise ValueError("a step needs at least one sample")
     # overflow here surfaces as a DivergenceError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        scratch = net.reset_scratch(len(inputs), "train", _delta_sets(cfg))
-        trace = net.forward(inputs, mode="train", rng=rng, scratch=scratch)
+        trace = net.forward(inputs, mode="train", rng=rng, scratch=net.scratch)
         y = trace.output
         b = y.shape[0]
         loss = float(np.mean(model.loss(y, targets)))
@@ -210,7 +191,7 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         checks += [("metric diagonal", metric.diag), ("metric row", metric.row)]
     for name, value in checks:
         if not _finite(value):
-            raise DivergenceError(f"non-finite {name}", eta=cfg.eta)
+            raise DivergenceError(f"non-finite {name}")
     axpy(theta, -cfg.eta, direction)  # theta -= eta * direction, bit for bit
     net.set_params(theta)
     if metric is not None:

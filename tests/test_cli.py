@@ -103,9 +103,12 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     (["--epsilon", "nan"], "epsilon must be a nonnegative finite number"),
     (["--batch-size", "0"], "batch size must be at least 1, got 0"),
     (["--epochs", "-1"], "epochs must be at least 0, got -1"),
+    (["--config", "nope.cfg"], "nope.cfg: No such file or directory"),
+    (["--arch", "8,0,8"], "every layer after the input needs at least 1 unit, got [8, 0, 8]"),
 ])
-def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, message):
+def test_config_errors_are_usage_errors(tmp_path, monkeypatch, capsys, command, extra, message):
     # status 2 with the message, not a traceback; status 1 means "diverged"
+    monkeypatch.chdir(tmp_path)  # where no nope.cfg exists
     rc = main([command, *eeg_args(tmp_path, *extra)[1:]])
     assert rc == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
@@ -126,14 +129,17 @@ def test_config_errors_are_usage_errors(tmp_path, capsys, command, extra, messag
     (["--eeg-channels", "0", "--arch", "0,6,0"], None, "need at least 1 channel, got 0"),
     (["grid", "--lr-grid=,"], "dataset = synthetic-eeg\neeg-samples = 32\neeg-channels = 4\n"
      "arch = 4,3,4\noutput = gaussian\n", "grid needs at least one step-size"),
+    (["train"], "algo qdop\n", "bad.cfg:1: expected key=value"),
 ])
-def test_dataset_and_suite_errors_are_usage_errors(tmp_path, capsys, argv, config, message):
+def test_dataset_and_suite_errors_are_usage_errors(tmp_path, monkeypatch, capsys, argv, config,
+                                                   message):
     # config values meet the flags' allowed values, and the dataset is built before the run
     if config is None:
         argv = eeg_args(tmp_path, *argv)
     else:
+        monkeypatch.chdir(tmp_path)  # a relative path, as the messages quote it
         (tmp_path / "bad.cfg").write_text(config)
-        argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
+        argv = [*argv, "--config", "bad.cfg"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 

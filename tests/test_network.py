@@ -71,6 +71,11 @@ def fd_grad(net, x, c, h=1e-6):
     return g
 
 
+def terms_out(net, quasi=True):
+    """A (diag, row) pair for qd_batch_terms to write to; no row in diagonal mode."""
+    return np.empty(net.layout.dim), np.empty(net.layout.dim) if quasi else None
+
+
 def random_net(rng, sizes, activation="sigmoid", masks=None, dropout=0.0, scale=0.8):
     net = Network(sizes, activation, masks=masks, dropout=dropout)
     net.init_params(rng)
@@ -128,6 +133,13 @@ def test_forward_input_width_checked():
     net = Network([3, 2], "relu")
     with pytest.raises(ValueError):
         net.forward(np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("sizes", [[3, 0, 2], [3, 2, 0]])
+def test_layers_after_the_input_need_a_unit(sizes):
+    with pytest.raises(ValueError, match="at least 1 unit"):
+        Network(sizes)
+    Network([0, 1])  # an input of width 0 is allowed
 
 
 def test_forward_and_backprop_deltas_reject_1d_arrays():
@@ -238,7 +250,7 @@ def test_full_fan_in_equals_dense_layout():
     masks = make_sparse_layout([4, 3, 2], fan_in=4, rng=rng)
     net = Network([4, 3, 2], "sigmoid", masks=masks)
     dense = Network([4, 3, 2], "sigmoid")
-    assert net.layout == dense.layout
+    np.testing.assert_array_equal(net.layout.lengths, dense.layout.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,7 @@ def test_qd_batch_terms_match_per_sample_rank_one(quasi):
 
     tr = net.forward(X, mode="eval")
     deltas = net.backprop_deltas(tr, C)
-    diag, row = net.qd_batch_terms(tr, [w[:, None] * d**2 for d in deltas], quasi=quasi)
+    diag, row = net.qd_batch_terms(tr, [w[:, None] * d**2 for d in deltas], terms_out(net, quasi))
 
     ref = QDMetric(net.layout, quasi=quasi)
     for s in range(8):
@@ -452,10 +464,10 @@ def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
         assert_close(got, ref)
     assert_close(net.grad_from_deltas(tr, deltas), grad)
     sq_deltas = [w[:, None] * d**2 for d in deltas]
-    qd_diag, qd_row = net.qd_batch_terms(tr, sq_deltas, quasi=True)
+    qd_diag, qd_row = net.qd_batch_terms(tr, sq_deltas, terms_out(net))
     assert_close(qd_diag, diag)
     assert_close(qd_row, row)
-    d_only, none = net.qd_batch_terms(tr, sq_deltas, quasi=False)
+    d_only, none = net.qd_batch_terms(tr, sq_deltas, terms_out(net, quasi=False))
     assert_close(d_only, diag)
     assert none is None
 
@@ -486,11 +498,11 @@ def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed
         C = rng.standard_normal((b, sizes[-1]))
         w = rng.uniform(0.1, 2.0, size=(b, 1))
         passes = []
-        for scratch in (None, net.reset_scratch(b, "train", delta_sets=1)):
+        for scratch in (None, net.scratch):
             tr = net.forward(X, mode="train", rng=np.random.default_rng(seed), scratch=scratch)
             deltas = net.backprop_deltas(tr, C)
             sq = [w * d**2 for d in deltas]
-            terms = [net.qd_batch_terms(tr, sq, quasi=quasi) for quasi in (True, False)]
+            terms = [net.qd_batch_terms(tr, sq, terms_out(net, quasi)) for quasi in (True, False)]
             passes.append((tr, deltas, terms))
         (tr, deltas, terms), (tr_s, deltas_s, terms_s) = passes
         draws = np.random.default_rng(seed)  # each layer's dropout draws, (B, n) row-major
@@ -505,7 +517,7 @@ def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed
         for got, ref in zip(terms_s, terms):
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])
-        tr_e = net.forward(X, mode="eval", scratch=net.reset_scratch(b, "eval"))
+        tr_e = net.forward(X, mode="eval", scratch=net.scratch)
         np.testing.assert_array_equal(tr_e.output, net.forward(X, mode="eval").output)
 
 
@@ -541,16 +553,16 @@ def test_a_trace_of_an_earlier_scratch_pass_is_stale():
     rng = np.random.default_rng(17)
     net = random_net(rng, [4, 6, 3], "tanh")
     X, C = rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
-    tr = net.forward(X, scratch=net.reset_scratch(8, "train", 1))
+    tr = net.forward(X, scratch=net.scratch)
     deltas = net.backprop_deltas(tr, C)
     kept = net.forward(X)  # no scratch: never stale
-    net.forward(rng.standard_normal((8, 4)), mode="eval", scratch=net.reset_scratch(8, "eval"))
+    net.forward(rng.standard_normal((8, 4)), mode="eval", scratch=net.scratch)
     with pytest.raises(StaleTraceError, match="scratch"):
         net.backprop_deltas(tr, C)
     with pytest.raises(StaleTraceError, match="scratch"):
         net.grad_from_deltas(tr, deltas)
     with pytest.raises(StaleTraceError, match="scratch"):
-        net.qd_batch_terms(tr, deltas)
+        net.qd_batch_terms(tr, deltas, terms_out(net))
     net.grad_from_deltas(kept, net.backprop_deltas(kept, C))
 
 
