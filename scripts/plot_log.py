@@ -1,27 +1,20 @@
 #!/usr/bin/env python3
 """Plot training-log CSVs produced by `qdgrad train`.
 
-Each positional argument is one log file; curves are labeled by file stem.
+Each positional argument is one log file, read with TrainLog.read, which
+rejects a file without the log's header; curves are labeled by file stem.
 Requires matplotlib (not a package dependency):
 
-    python3 scripts/plot_log.py run_a.csv run_b.csv --metric valid_nll -o cmp.png
+    PYTHONPATH=src python3 scripts/plot_log.py run_a.csv run_b.csv --metric valid_nll -o cmp.png
 """
 
 import argparse
 import sys
 from pathlib import Path
 
+from qdgrad.harness import TrainLog
+
 METRICS = ("train_nll", "train_err", "valid_nll", "valid_err")
-
-
-def read_log(path):
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    cols = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            cols[name].append(float(cell))
-    return cols
 
 
 def main(argv=None):
@@ -31,6 +24,10 @@ def main(argv=None):
     ap.add_argument("--logy", action="store_true", help="log-scale y axis")
     ap.add_argument("-o", "--out", help="write PNG here instead of showing")
     args = ap.parse_args(argv)
+    try:
+        logs = [(path, TrainLog.read(path).rows) for path in args.logs]
+    except (OSError, ValueError) as e:
+        ap.error(str(e))
 
     try:
         import matplotlib
@@ -42,14 +39,12 @@ def main(argv=None):
         return 1
 
     fig, ax = plt.subplots(figsize=(7, 4.5))
-    for path in args.logs:
-        cols = read_log(path)
-        ax.plot(cols["epoch"], cols[args.metric], marker=".",
+    for path, rows in logs:
+        ax.plot([r.epoch for r in rows], [getattr(r, args.metric) for r in rows], marker=".",
                 label=Path(path).stem)
-        if any(cols["diverged"]):
-            first = int(min(e for e, d in zip(cols["epoch"], cols["diverged"])
-                            if d))
-            ax.axvline(first, linestyle=":", color="gray")
+        diverged = [r.epoch for r in rows if r.diverged]
+        if diverged:
+            ax.axvline(diverged[0], linestyle=":", color="gray")
     ax.set_xlabel("epoch")
     ax.set_ylabel(args.metric)
     if args.logy:

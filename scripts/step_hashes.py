@@ -5,9 +5,13 @@ For each workload of perfbench/workloads.py, builds it at seed 7, takes 6
 optimizer steps on its shuffled minibatches, and prints the first 16 hex
 digits of the sha256 of theta, of the metric's diagonal and of its row,
 then eval_metrics on the held-out rows, and last the size in floats of
-net.scratch after the steps and after the evaluation. Two trees that print
-the same hash lines computed the same floats in those steps. Run from the
-repository root:
+net.scratch after the steps and after the evaluation. Then, on four small
+[8, 9, 7, 4] nets (dense relu; masked relu with dropout and learned
+output variances; masked tanh with dropout; dense sigmoid with dropout and
+a Bernoulli head), it takes 4 steps of every algorithm, the Monte Carlo
+ones at n_mc 1 and 3, and prints the same three hashes and how many of the
+steps diverged. Two trees that print the same hash lines computed the same
+floats in those steps. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/step_hashes.py
 
@@ -26,6 +30,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
 STEPS = 6
+SMALL_SIZES = [8, 9, 7, 4]
+SMALL_NETS = (  # name, activation, fan-in of the masked layers (None: dense), dropout, output
+    ("dense-relu", "relu", None, 0.0, "categorical"),
+    ("masked-relu", "relu", 3, 0.3, "gaussian-learned"),
+    ("masked-tanh", "tanh", 3, 0.3, "categorical"),
+    ("dense-sigmoid", "sigmoid", None, 0.2, "bernoulli"),
+)
+SMALL_STEPS = 4
+SMALL_BATCH = 10
 
 
 def _pin_threads():
@@ -44,6 +57,43 @@ def _workloads():
 
 def _digest(a):
     return "-" if a is None else hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def _small_runs():
+    """One line per small net and algorithm: hashes after SMALL_STEPS steps."""
+    import numpy as np
+
+    from qdgrad import network, optim, outputs
+
+    runs = [(algo, 1) for algo in optim.ALGOS] + [("dmcnat", 3), ("qdmcnat", 3)]
+    for name, activation, fan_in, dropout, output in SMALL_NETS:
+        for algo, n_mc in runs:
+            rng = np.random.default_rng(SEED)
+            masks = None
+            if fan_in is not None:
+                masks = network.make_sparse_layout(SMALL_SIZES, fan_in, rng)
+            net = network.Network(SMALL_SIZES, activation, masks=masks, dropout=dropout)
+            net.init_params(rng)
+            model = outputs.make_output_model(output, SMALL_SIZES[-1])
+            cfg = optim.OptimizerConfig(algo, 0.1, n_mc=n_mc)
+            state = optim.OptimizerState(net, cfg)
+            diverged = 0
+            for _ in range(SMALL_STEPS):
+                x = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[0]))
+                if output == "categorical":
+                    t = rng.integers(0, SMALL_SIZES[-1], SMALL_BATCH)
+                elif output == "bernoulli":
+                    t = (rng.random((SMALL_BATCH, SMALL_SIZES[-1])) < 0.5).astype(float)
+                else:
+                    t = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[-1]))
+                try:
+                    optim.optimizer_step(net, model, x, t, state, cfg, rng)
+                except optim.DivergenceError:
+                    diverged += 1
+            metric = state.metric  # None for sgd
+            arrays = (net.theta, *((None, None) if metric is None else (metric.diag, metric.row)))
+            hashes = " / ".join(_digest(a) for a in arrays)
+            print(f"{name}-{algo}-nmc{n_mc}: theta / diag / row {hashes}; diverged {diverged}")
 
 
 def main() -> int:
@@ -69,6 +119,7 @@ def main() -> int:
             print(f"{w.name}: theta / diag / row {hashes}; eval_metrics {evaluation}")
             print(f"{w.name}: scratch floats {step_floats} after the steps, "
                   f"{s.net.scratch.buf.size} after the evaluation")
+    _small_runs()
     return 0
 
 

@@ -172,7 +172,11 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
     with none given the dataset is an autoencoding task over all columns.
     """
     rows = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from e
+    with fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if not row:

@@ -343,20 +343,22 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
 def parse_config_file(path) -> dict:
     """Flat key=value lines; # starts a comment; values stay as strings.
 
-    An unreadable file or a line without = raises RunConfigError.
+    An unreadable or non-UTF-8 file, or a line without =, raises RunConfigError.
     """
-    out = {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as e:
         raise RunConfigError(f"{path}: {e.strerror}") from e
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RunConfigError(f"{path}:{line_no}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    except UnicodeDecodeError as e:
+        raise RunConfigError(f"{path}: not UTF-8 text at byte {e.start}") from e
+    out = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise RunConfigError(f"{path}:{line_no}: expected key=value")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out

@@ -30,14 +30,17 @@ any number of seeds costs one pair of products. All three have the shape
 of P and are written straight into the layer's segment of a theta-shaped
 vector, so no per-sample gradient is ever materialized. For a masked layer
 they are these products sampled at the stored entries only:
-sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P.
+sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P, run over chunks
+of entries.
 
-Every batch-sized array of a pass (layer inputs, pre-activations, dropout
-masks, backprop products, temporaries) is a new array unless forward is
-given a Scratch: then the pass carves them as views of its one flat
-buffer, with the same shapes, memory orders and floats. The trace records
-where its arrays came from, and backprop_deltas, grad_from_deltas and
-qd_batch_terms carve theirs there too. Each network owns one Scratch,
+A pass stores no hidden pre-activation: a hidden layer's a @ P.T is
+written where its activation goes, which is applied in place. Every
+batch-sized array of a pass (layer inputs, activations, the output,
+dropout masks, backprop products, temporaries) is a new array unless
+forward is given a Scratch: then the pass carves them as views of its one
+flat buffer, with the same shapes, memory orders and floats. The trace
+records where its arrays came from, and backprop_deltas, grad_from_deltas
+and qd_batch_terms carve theirs there too. Each network owns one Scratch,
 net.scratch, which the training step and evaluation share. A forward on a
 scratch starts a pass: it resets the scratch to the size its batch and
 mode need and overwrites the previous pass, whose trace then raises
@@ -87,14 +90,14 @@ def _act(kind, z, out=None):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _act_deriv(kind, z, h, out):
-    """Derivative from pre-activation z and pre-dropout activation h, into out."""
+def _act_deriv(kind, h, out):
+    """Derivative from the pre-dropout activation h, into out."""
     if kind == "sigmoid":
         return np.multiply(h, np.subtract(1.0, h, out=out), out=out)  # h * (1 - h)
     if kind == "tanh":
         return np.subtract(1.0, np.multiply(h, h, out=out), out=out)  # 1 - h * h
     if kind == "relu":
-        return np.greater(z, 0.0, out=out)  # 1.0 or 0.0; the derivative at 0 is 0
+        return np.greater(h, 0.0, out=out)  # 1.0 where z > 0, else 0.0 (NaN and -0.0 too)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -176,20 +179,15 @@ def _matmul(P, x, out):
 
 @dataclass
 class ForwardTrace:
-    """Cached quantities of one forward pass (batch-shaped)."""
+    """Cached quantities of one forward pass (batch-shaped); no hidden pre-activation."""
 
     inputs: list  # [1|a_l] per weight layer: a_0 = input, then post-dropout hidden activity
-    pre_activations: list  # z_1 .. z_L
     hidden: list  # pre-dropout activations h_1 .. h_(L-1)
     masks: list  # dropout masks with entries in {0, 1/(1-p)}, or None
+    output: np.ndarray  # (B, K) pre-activation of the linear output layer
     version: int
     scratch: object  # the Scratch (or _NEW_ARRAYS) the arrays were carved from
     scratch_pass: int  # scratch.passes when they were
-
-    @property
-    def output(self):
-        """The (B, K) pre-activation of the linear output layer."""
-        return self.pre_activations[-1]
 
     def check_pass(self):
         """Raise StaleTraceError if the scratch was reset since the trace was made."""
@@ -271,6 +269,7 @@ class _LayerIndex:
             # each row: the bias column 0, then its sources shifted by one
             sources_before = self.indptr[:-1] - np.arange(n)
             self.indices = np.insert(cols + 1, sources_before, 0)
+            self.rows = np.repeat(np.arange(n), degrees)  # the row of each entry
 
     @property
     def mask(self):
@@ -302,21 +301,18 @@ class _LayerIndex:
         For per-sample unit values d (B, n) and layer inputs a (B, 1+m),
         writes sum_s d[s, r_j] a[s, c_j] to out[j] and sum_s d[s, r_j]
         a[s, c_j]**2 to out_sq[j], for each stored entry j of [b|W] at
-        (r_j, c_j); either output may be None. The work runs chunk by
-        chunk: row j of the operands D and A is d[:, r_j] and a[:, c_j],
-        gathered into two chunk-sized buffers.
+        (r_j, c_j); either output may be None. The work runs over chunks of
+        entries, split anywhere: row j of the operands D and A is d[:, r_j]
+        and a[:, c_j], gathered into two chunk-sized buffers.
         """
         dT = np.ascontiguousarray(d.T)
         aT = np.ascontiguousarray(a.T)
         step = max(1, CHUNK_FLOATS // max(1, d.shape[0]))  # entries per chunk
-        cuts = np.searchsorted(self.indptr, np.arange(step, self.size, step))
-        bounds = np.unique(np.concatenate(([0], cuts, [self.n])))
-        D_buf, A_buf = np.empty((2, int(np.diff(self.indptr[bounds]).max()), d.shape[0]))
-        for u0, u1 in zip(bounds[:-1], bounds[1:]):
-            p0, p1 = self.indptr[u0], self.indptr[u1]
-            rows = np.repeat(np.arange(u0, u1), self.degrees[u0:u1])
+        D_buf, A_buf = np.empty((2, min(step, self.size), d.shape[0]))
+        for p0 in range(0, self.size, step):
+            p1 = min(p0 + step, self.size)
             # mode="clip" writes to out directly; the default buffers it
-            D = np.take(dT, rows, axis=0, out=D_buf[: p1 - p0], mode="clip")
+            D = np.take(dT, self.rows[p0:p1], axis=0, out=D_buf[: p1 - p0], mode="clip")
             A = np.take(aT, self.indices[p0:p1], axis=0, out=A_buf[: p1 - p0], mode="clip")
             if out is not None:
                 np.einsum("ij,ij->i", D, A, out=out[p0:p1])
@@ -396,12 +392,12 @@ class Network:
     def _pass_floats(self, b, mode):
         """Floats of a pass over a batch of b rows in mode.
 
-        An eval pass holds its forward arrays. A train pass also holds two
-        sets of backprop deltas at once, the gradient's and one metric
-        term's, and one temporary.
+        An eval pass holds its layer inputs and the output. A train pass
+        also holds two sets of backprop deltas at once, the gradient's and
+        one metric term's, and one temporary.
         """
         ins = sum(1 + m for m in self.sizes[:-1])  # [1|a] per weight layer
-        floats = ins + sum(self.sizes[1:])  # and the pre-activations
+        floats = ins + self.sizes[-1]  # and the output
         if mode == "train":
             if self.dropout > 0.0:
                 floats += 2 * sum(self.sizes[1:-1])  # hidden activities and masks
@@ -429,33 +425,29 @@ class Network:
         scratch = _NEW_ARRAYS if scratch is None else scratch.reset(self._pass_floats(b, mode))
         a = _with_ones(b, self.sizes[0], scratch)
         a[:, 1:] = x
-        inputs = [a]
-        pre, hidden, masks = [], [], []
-        for layer, P in enumerate(self.layers):
+        inputs, hidden, masks = [a], [], []
+        for P in self.layers[:-1]:
             n = P.shape[0]
-            z = _matmul(P, a.T, scratch.take(n, b)).T  # a @ P.T
-            pre.append(z)
-            if layer == self.n_layers - 1:
-                break  # linear output layer
             a = _with_ones(b, n, scratch)
+            # the pre-activation is written where its activation goes, a C-order h.T
+            h = scratch.take(n, b).T if drop > 0.0 else a[:, 1:]
+            _act(self.activation, _matmul(P, inputs[-1].T, h.T).T, out=h)
+            mask = None
             if drop > 0.0:
-                h = _act(self.activation, z, out=scratch.take(n, b).T)
-                # In h's memory order, column-major like z and a: keeping
-                # the mask, the activities and the deltas in one order spares
-                # a transpose copy in each later product and elementwise step.
+                # In h's memory order: keeping the mask, the activities and
+                # the deltas in one order spares a transpose copy in each
+                # later product and elementwise step.
                 mask = scratch.take(n, b).T
                 with scratch.released():
                     keep = rng.random(out=scratch.take(b, n))
                     np.greater_equal(keep, drop, out=keep)  # 1.0 where kept
                     np.divide(keep, 1.0 - drop, out=mask)  # inverted dropout
                 np.multiply(h, mask, out=a[:, 1:])
-                masks.append(mask)
-            else:
-                h = _act(self.activation, z, out=a[:, 1:])
-                masks.append(None)
             hidden.append(h)
+            masks.append(mask)
             inputs.append(a)
-        return ForwardTrace(inputs, pre, hidden, masks, self.version, scratch, scratch.passes)
+        y = _matmul(self.layers[-1], a.T, scratch.take(self.sizes[-1], b)).T  # linear output
+        return ForwardTrace(inputs, hidden, masks, y, self.version, scratch, scratch.passes)
 
     def backprop_deltas(self, trace: ForwardTrace, output_grad) -> list:
         """Per-layer pre-activation sensitivities for an output seed.
@@ -468,7 +460,7 @@ class Network:
             raise StaleTraceError("trace predates the current parameters")
         trace.check_pass()
         g = np.asarray(output_grad, dtype=float)
-        if g.shape != trace.pre_activations[-1].shape:
+        if g.shape != trace.output.shape:
             raise ValueError("output_grad must be a (B, K) array shaped like the trace output")
         scratch = trace.scratch
         b = len(g)
@@ -482,9 +474,9 @@ class Network:
             d = _matmul(Pt, d.T, scratch.take(Pt.shape[0], b)).T[:, 1:]
             if trace.masks[layer - 1] is not None:
                 d *= trace.masks[layer - 1]
-            z, h = trace.pre_activations[layer - 1], trace.hidden[layer - 1]
+            h = trace.hidden[layer - 1]
             with scratch.released():
-                d *= _act_deriv(self.activation, z, h, scratch.take(z.shape[1], b).T)
+                d *= _act_deriv(self.activation, h, scratch.take(h.shape[1], b).T)
             deltas[layer - 1] = d
         return deltas
 

@@ -114,7 +114,7 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out):
     the trace's scratch, so a step holds at most two sets of deltas. The
     terms are written to out, a (diag, row) pair.
     """
-    y = trace.pre_activations[-1]
+    y = trace.output
     b = y.shape[0]
     if cfg.algo in ("adagrad", "dop", "qdop"):
         terms = [(None, 1.0 / b)]

@@ -130,15 +130,18 @@ def test_config_errors_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
     (["grid", "--lr-grid=,"], "dataset = synthetic-eeg\neeg-samples = 32\neeg-channels = 4\n"
      "arch = 4,3,4\noutput = gaussian\n", "grid needs at least one step-size"),
     (["train"], "algo qdop\n", "bad.cfg:1: expected key=value"),
+    (["train"], b"\xff\xfealgo = qdop\n", "bad.cfg: not UTF-8 text at byte 0"),
+    (["--dataset", "csv", "--csv", "nope.csv"], None, "nope.csv: No such file or directory"),
+    (["--dataset", "csv", "--csv", "."], None, ".: Is a directory"),
 ])
 def test_dataset_and_suite_errors_are_usage_errors(tmp_path, monkeypatch, capsys, argv, config,
                                                    message):
     # config values meet the flags' allowed values, and the dataset is built before the run
+    monkeypatch.chdir(tmp_path)  # relative paths, as the messages quote them
     if config is None:
         argv = eeg_args(tmp_path, *argv)
     else:
-        monkeypatch.chdir(tmp_path)  # a relative path, as the messages quote it
-        (tmp_path / "bad.cfg").write_text(config)
+        (tmp_path / "bad.cfg").write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = [*argv, "--config", "bad.cfg"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"

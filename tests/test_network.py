@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse import csc_array, csr_array
 
+from qdgrad import network
 from qdgrad.metric import QDMetric
 from qdgrad.network import (
     Network,
@@ -380,7 +381,7 @@ def test_qd_batch_terms_match_per_sample_rank_one(quasi):
 
 
 def dense_reference(net, x, drop_masks, output_grad, sample_weights):
-    """Forward, deltas, gradient and QD terms from zero-filled dense weights.
+    """Activations and output, deltas, gradient and QD terms from zero-filled dense weights.
 
     Flat vectors are assembled unit by unit from the dense per-layer
     products, keeping only each unit's connected sources.
@@ -420,7 +421,8 @@ def dense_reference(net, x, drop_masks, output_grad, sample_weights):
     grad = flat([(d.sum(axis=0), d.T @ a) for d, a in zip(deltas, acts)])
     diag = flat([(q.sum(axis=0), q.T @ (a * a)) for q, a in zip(d2w, acts)])
     row = flat([(np.zeros(q.shape[1]), q.T @ a) for q, a in zip(d2w, acts)])
-    return pre, deltas, grad, diag, row
+    outs = [act(z) for z in pre[:-1]] + [pre[-1]]  # pre-dropout activations, then the output
+    return outs, deltas, grad, diag, row
 
 
 def assert_close(got, ref):
@@ -457,8 +459,8 @@ def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
 
     tr = net.forward(X, mode="train", rng=np.random.default_rng(seed + 1))
     deltas = net.backprop_deltas(tr, C)
-    pre, ref_deltas, grad, diag, row = dense_reference(net, X, tr.masks, C, w)
-    for got, ref in zip(tr.pre_activations, pre):
+    outs, ref_deltas, grad, diag, row = dense_reference(net, X, tr.masks, C, w)
+    for got, ref in zip(tr.hidden + [tr.output], outs, strict=True):
         assert_close(got, ref)
     for got, ref in zip(deltas, ref_deltas):
         assert_close(got, ref)
@@ -509,9 +511,10 @@ def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed
         for mask, n in zip(tr.masks, sizes[1:-1]):
             if dropout:
                 np.testing.assert_array_equal(mask, (draws.random((b, n)) >= dropout) / (1 - dropout))
-        for name in ("inputs", "pre_activations", "hidden", "masks"):
+        for name in ("inputs", "hidden", "masks"):
             for got, ref in zip(getattr(tr_s, name), getattr(tr, name)):
                 np.testing.assert_array_equal(got, ref, err_msg=name)
+        np.testing.assert_array_equal(tr_s.output, tr.output)
         for got, ref in zip(deltas_s, deltas):
             np.testing.assert_array_equal(got, ref)
         for got, ref in zip(terms_s, terms):
@@ -542,9 +545,40 @@ def test_passes_without_scratch_return_new_arrays():
     X = rng.standard_normal((3, 4))
     a = net.forward(X, rng=np.random.default_rng(0))
     b = net.forward(X, rng=np.random.default_rng(0))
-    for name in ("inputs", "pre_activations", "hidden", "masks"):
+    for name in ("inputs", "hidden", "masks"):
         for x, y in zip(getattr(a, name), getattr(b, name)):
             assert not np.shares_memory(x, y), name
+    assert not np.shares_memory(a.output, b.output)
+
+
+def test_an_eval_pass_holds_only_layer_inputs_and_the_output():
+    # no hidden pre-activation is stored, so the scratch holds [1|a] per
+    # weight layer and the output
+    rng = np.random.default_rng(19)
+    sizes, b = [5, 7, 6, 3], 9
+    net = random_net(rng, sizes, "relu", dropout=0.3)
+    net.forward(rng.standard_normal((b, sizes[0])), mode="eval", scratch=net.scratch)
+    assert net.scratch.buf.size == b * (sum(1 + m for m in sizes[:-1]) + sizes[-1])
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 11])
+def test_masked_products_do_not_depend_on_the_chunking(monkeypatch, chunk):
+    # chunks of 1, 4 and 11 entries, against one chunk per layer by default;
+    # 11 splits the 4-entry units of the masked layers
+    rng = np.random.default_rng(20)
+    sizes, b = [8, 9, 7, 4], 7
+    net = random_net(rng, sizes, "tanh", masks=make_sparse_layout(sizes, 3, rng))
+    tr = net.forward(rng.standard_normal((b, sizes[0])))
+    deltas = net.backprop_deltas(tr, rng.standard_normal((b, sizes[-1])))
+    sq = [d * d for d in deltas]
+
+    def products():
+        return net.grad_from_deltas(tr, deltas), *net.qd_batch_terms(tr, sq, terms_out(net))
+
+    default = products()
+    monkeypatch.setattr(network, "CHUNK_FLOATS", chunk * b)
+    for got, ref in zip(products(), default, strict=True):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_a_trace_of_an_earlier_scratch_pass_is_stale():
