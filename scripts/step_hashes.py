@@ -10,8 +10,10 @@ net.scratch after the steps and after the evaluation. Then, on four small
 output variances; masked tanh with dropout; dense sigmoid with dropout and
 a Bernoulli head), it takes 4 steps of every algorithm, the Monte Carlo
 ones at n_mc 1 and 3, and prints the same three hashes and how many of the
-steps diverged. Two trees that print the same hash lines computed the same
-floats in those steps. Run from the repository root:
+steps diverged. Last come dop and qdop at epsilon = 0, on a dense tanh net
+at gamma 0.01 and 1 and on the dense relu net, with the count of steps that
+raised MetricError. Two trees that print the same hash lines computed the
+same floats in those steps. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/step_hashes.py
 
@@ -38,6 +40,18 @@ SMALL_NETS = (  # name, activation, fan-in of the masked layers (None: dense), d
     ("dense-sigmoid", "sigmoid", None, 0.2, "bernoulli"),
 )
 SMALL_STEPS = 4
+# runs at epsilon = 0, where the solve checks for zero divisors: a dense tanh
+# net, whose metric has none, at gamma = 1 too, where every step's moving
+# average is the first step's; and the relu net, whose dead units make
+# every step raise MetricError
+DENSE_TANH = ("dense-tanh", "tanh", None, 0.0, "categorical")
+EPSILON_ZERO_RUNS = (  # net, algo, gamma
+    (DENSE_TANH, "dop", 0.01),
+    (DENSE_TANH, "qdop", 0.01),
+    (DENSE_TANH, "dop", 1.0),
+    (DENSE_TANH, "qdop", 1.0),
+    (SMALL_NETS[0], "qdop", 0.01),
+)
 SMALL_BATCH = 10
 
 
@@ -59,41 +73,55 @@ def _digest(a):
     return "-" if a is None else hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
-def _small_runs():
-    """One line per small net and algorithm: hashes after SMALL_STEPS steps."""
+def _small_run(spec, algo, n_mc=1, **cfg):
+    """Hashes of theta, diag and row after SMALL_STEPS steps on one small net."""
     import numpy as np
 
-    from qdgrad import network, optim, outputs
+    from qdgrad import metric, network, optim, outputs
+
+    name, activation, fan_in, dropout, output = spec
+    rng = np.random.default_rng(SEED)
+    masks = None
+    if fan_in is not None:
+        masks = network.make_sparse_layout(SMALL_SIZES, fan_in, rng)
+    net = network.Network(SMALL_SIZES, activation, masks=masks, dropout=dropout)
+    net.init_params(rng)
+    model = outputs.make_output_model(output, SMALL_SIZES[-1])
+    cfg = optim.OptimizerConfig(algo, 0.1, n_mc=n_mc, **cfg)
+    state = optim.OptimizerState(net, cfg)
+    diverged = errors = 0
+    for _ in range(SMALL_STEPS):
+        x = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[0]))
+        if output == "categorical":
+            t = rng.integers(0, SMALL_SIZES[-1], SMALL_BATCH)
+        elif output == "bernoulli":
+            t = (rng.random((SMALL_BATCH, SMALL_SIZES[-1])) < 0.5).astype(float)
+        else:
+            t = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[-1]))
+        try:
+            optim.optimizer_step(net, model, x, t, state, cfg, rng)
+        except optim.DivergenceError:
+            diverged += 1
+        except metric.MetricError:
+            errors += 1
+    metric = state.metric  # None for sgd
+    arrays = (net.theta, *((None, None) if metric is None else (metric.diag, metric.row)))
+    hashes = " / ".join(_digest(a) for a in arrays)
+    line = f"theta / diag / row {hashes}; diverged {diverged}"
+    return line + (f"; metric errors {errors}" if errors else "")
+
+
+def _small_runs():
+    """One line per small net and run: hashes after SMALL_STEPS steps."""
+    from qdgrad import optim
 
     runs = [(algo, 1) for algo in optim.ALGOS] + [("dmcnat", 3), ("qdmcnat", 3)]
-    for name, activation, fan_in, dropout, output in SMALL_NETS:
+    for spec in SMALL_NETS:
         for algo, n_mc in runs:
-            rng = np.random.default_rng(SEED)
-            masks = None
-            if fan_in is not None:
-                masks = network.make_sparse_layout(SMALL_SIZES, fan_in, rng)
-            net = network.Network(SMALL_SIZES, activation, masks=masks, dropout=dropout)
-            net.init_params(rng)
-            model = outputs.make_output_model(output, SMALL_SIZES[-1])
-            cfg = optim.OptimizerConfig(algo, 0.1, n_mc=n_mc)
-            state = optim.OptimizerState(net, cfg)
-            diverged = 0
-            for _ in range(SMALL_STEPS):
-                x = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[0]))
-                if output == "categorical":
-                    t = rng.integers(0, SMALL_SIZES[-1], SMALL_BATCH)
-                elif output == "bernoulli":
-                    t = (rng.random((SMALL_BATCH, SMALL_SIZES[-1])) < 0.5).astype(float)
-                else:
-                    t = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[-1]))
-                try:
-                    optim.optimizer_step(net, model, x, t, state, cfg, rng)
-                except optim.DivergenceError:
-                    diverged += 1
-            metric = state.metric  # None for sgd
-            arrays = (net.theta, *((None, None) if metric is None else (metric.diag, metric.row)))
-            hashes = " / ".join(_digest(a) for a in arrays)
-            print(f"{name}-{algo}-nmc{n_mc}: theta / diag / row {hashes}; diverged {diverged}")
+            print(f"{spec[0]}-{algo}-nmc{n_mc}: {_small_run(spec, algo, n_mc)}")
+    for spec, algo, gamma in EPSILON_ZERO_RUNS:
+        print(f"{spec[0]}-{algo}-epsilon0-gamma{gamma}: "
+              f"{_small_run(spec, algo, gamma=gamma, epsilon=0.0)}")
 
 
 def main() -> int:

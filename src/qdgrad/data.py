@@ -7,6 +7,7 @@ reconstruction target tracks the inversion of the features for free).
 """
 
 import csv
+import io
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -16,6 +17,7 @@ __all__ = [
     "Dataset",
     "load_idx",
     "load_csv",
+    "read_text",
     "write_idx_images",
     "write_idx_labels",
     "minibatches",
@@ -165,6 +167,23 @@ def _normalize_columns(values):
     return out
 
 
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; ValueError, naming the file, if it is unreadable or not UTF-8.
+
+    The file is decoded in one piece, so the error gives the offending
+    byte's offset in the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from e
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text at byte {e.start}") from e
+
+
 def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
     """Rectangular numeric CSV; features min-max normalized per column.
 
@@ -172,21 +191,16 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
     with none given the dataset is an autoencoding task over all columns.
     """
     rows = []
-    try:
-        fh = open(path, newline="")
-    except OSError as e:
-        raise ValueError(f"{path}: {e.strerror}") from e
-    with fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if has_header and line_no == 1:
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    for line_no, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if has_header and line_no == 1:
+            continue
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])

@@ -1,12 +1,13 @@
 """Training runs, step-size grid search, benchmark timing, and CSV logs."""
 
+import io
 import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, invert_features, minibatches
+from .data import Dataset, invert_features, minibatches, read_text
 from .network import Network, make_sparse_layout, save_checkpoint
 from .optim import ALGOS, DivergenceError, OptimizerConfig, OptimizerState, optimizer_step
 from .outputs import make_output_model
@@ -346,14 +347,11 @@ def parse_config_file(path) -> dict:
     An unreadable or non-UTF-8 file, or a line without =, raises RunConfigError.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise RunConfigError(f"{path}: {e.strerror}") from e
-    except UnicodeDecodeError as e:
-        raise RunConfigError(f"{path}: not UTF-8 text at byte {e.start}") from e
+        text = read_text(path)
+    except ValueError as e:
+        raise RunConfigError(str(e)) from e
     out = {}
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

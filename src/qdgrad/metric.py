@@ -6,9 +6,11 @@ Blocks correspond to the incoming parameters of one unit, with the bias as
 entry 0 of the block. Storage is two flat arrays of dim(theta) reals each,
 regardless of block sizes, or one in diagonal mode.
 
-The dim-sized elementwise passes (accumulation, solve, the parameter
-update) run in chunks of CHUNK_FLOATS floats with out= ops, so they
-allocate no dim-sized temporary.
+The dim-sized elementwise passes run in chunks of CHUNK_FLOATS floats
+with out= ops, so they allocate no dim-sized temporary. A training step
+makes two of them: the solve, which also forms the step's moving-average
+metric chunk by chunk just before solving with it (see StepSolve), and
+the in-place parameter update.
 
 The solver inverts the retained entries against a vector in closed form:
 each (bias, weight_i) pair is treated as an independent 2x2 system, then the
@@ -98,6 +100,42 @@ class BlockLayout:
         return self._groups
 
 
+@dataclass(eq=False)
+class StepSolve:
+    """The rest of a training step's first pass, carried into QDMetric.solve.
+
+    The step solves with a metric that holds the minibatch terms. Chunk by
+    chunk, just before solving with it, the pass makes that metric the
+    moving average (1 - g) prev + g M_batch, with the float operations of
+    decay(1 - g) and then add_terms(prev.diag, prev.row, 1 - g), and
+    divides v by divisor in place. With root it divides by the square
+    root of diag + epsilon instead (AdaGrad's exponent -1/2). buf is
+    (3, n) scratch for the loop, used when n covers its chunks. finite
+    records whether the direction, the diagonal and the row all came out
+    finite; a missing row is finite.
+    """
+
+    prev: "QDMetric"
+    g: float
+    divisor: float
+    buf: np.ndarray
+    root: bool = False
+    finite: list = field(default_factory=lambda: [True, True, True])
+
+    def blend(self, metric, lo, hi, tmp):
+        keep = 1.0 - self.g
+        tmp = tmp[: hi - lo]
+        for new, old in ((metric.diag, self.prev.diag), (metric.row, self.prev.row)):
+            if new is not None:
+                y = new[lo:hi]
+                y *= 1.0 - keep  # decay(1 - g)
+                np.add(y, np.multiply(old[lo:hi], keep, out=tmp), out=y)  # add_terms
+
+    def record(self, metric, out, lo, hi):
+        self.finite = [ok and (a is None or bool(np.isfinite(a[lo:hi]).all()))
+                       for ok, a in zip(self.finite, (out, metric.diag, metric.row))]
+
+
 class QDMetric:
     """Diagonal plus first-row representation of a block curvature matrix.
 
@@ -106,7 +144,7 @@ class QDMetric:
     None.
 
     The constructor allocates a zero metric; ``from_arrays`` wraps arrays
-    handed in. The training step double-buffers the metric: ``updated``
+    handed in. The training step double-buffers the metric: its solve
     builds the next metric in a spare pair of arrays, and once the step
     has succeeded the old pair becomes the next spare.
     """
@@ -152,25 +190,9 @@ class QDMetric:
         if self.row is not None:
             self.row *= 1.0 - gamma
 
-    def updated(self, diag_batch: np.ndarray, row_batch, gamma: float) -> "QDMetric":
-        """The moving average (1 - g) M + g M_batch; this metric is left as it is.
-
-        g is gamma, or 1 for the first minibatch of an uninitialized metric.
-        The result is built in the minibatch arrays and takes them over
-        (row_batch is None in diagonal mode), so the update allocates no
-        dim-sized array, and a caller that drops the result keeps the
-        metric it had.
-        """
-        g = gamma if self.initialized else 1.0
-        new = QDMetric.from_arrays(self.layout, diag_batch, row_batch)
-        new.decay(1.0 - g)  # g M_batch
-        new.add_terms(self.diag, self.row, 1.0 - g)
-        new.initialized = True
-        return new
-
     # -- solving -----------------------------------------------------------
 
-    def solve(self, v: np.ndarray, epsilon: float, out=None) -> np.ndarray:
+    def solve(self, v: np.ndarray, epsilon: float, out=None, *, _step=None) -> np.ndarray:
         """Apply the inverse of the regularized metric to v.
 
         Quasi-diagonal mode, per block with Delta = diag + epsilon:
@@ -182,10 +204,16 @@ class QDMetric:
         overlap v), else to a new array. Each run of equal-length blocks is
         solved in chunks of whole blocks, about CHUNK_FLOATS floats each (a
         longer block is a chunk of its own), with the float operations of
-        the formulas above applied to the whole run.
+        the formulas above applied to the whole run; diagonal mode is one
+        run of length-1 blocks. optimizer_step passes a StepSolve as _step,
+        so that one pass over the chunks also builds this metric and checks
+        what it wrote.
 
         Raises MetricError on an exactly zero divisor, which happens only
-        for an uninitialized metric with epsilon = 0.
+        for an uninitialized metric with epsilon = 0: with epsilon > 0 and
+        a nonnegative diagonal no divisor is zero, and the checks are
+        skipped. A run's zero bias entry is reported before any zero pair
+        determinant in it.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.layout.dim,):
@@ -194,46 +222,61 @@ class QDMetric:
             raise MetricError("epsilon must be >= 0")
         if out is None:
             out = np.empty_like(v)
-        if not self.quasi:
-            delta = np.add(self.diag, epsilon, out=out)
-            if np.any(delta == 0.0):
-                raise MetricError("zero diagonal entry; metric uninitialized?")
-            np.divide(v, delta, out=out)
-            return out
-        width = max(CHUNK_FLOATS, int(self.layout.lengths.max()))
-        d_buf, den_buf, tmp_buf = np.empty((3, width))
-        for flat, count, length in self.layout.groups():
+        groups = self.layout.groups() if self.quasi else [(0, self.layout.dim, 1)]
+        width = max(CHUNK_FLOATS, max(length for _, _, length in groups))
+        fits = _step is not None and _step.buf.shape[1] >= width
+        buf = _step.buf if fits else np.empty((3, width))
+        root = _step is not None and _step.root
+        for flat, count, length in groups:
             stop = flat + count * length
-            # all bias entries of the run first, as a zero one is reported
-            # before any zero pair determinant of the run
-            if np.any(self.diag[flat:stop:length] + epsilon == 0.0):
-                raise MetricError("zero bias entry; metric uninitialized?")
+            blend = _step is not None
+            if epsilon == 0.0 and not root:
+                if blend:  # the whole run, as all its bias entries are checked first
+                    for lo in range(flat, stop, width):
+                        _step.blend(self, lo, min(lo + width, stop), buf[2])
+                    blend = False
+                if np.any(self.diag[flat:stop:length] == 0.0):
+                    entry = "bias" if self.quasi else "diagonal"
+                    raise MetricError(f"zero {entry} entry; metric uninitialized?")
             rows = width // length  # whole blocks per chunk
             for lo in range(flat, stop, rows * length):
                 hi = min(lo + rows * length, stop)
                 k = (hi - lo) // length
-                d = np.add(self.diag[lo:hi], epsilon, out=d_buf[: hi - lo]).reshape(k, length)
+                if blend:
+                    _step.blend(self, lo, hi, buf[2])
+                if _step is not None:
+                    v[lo:hi] /= _step.divisor
+                d = np.add(self.diag[lo:hi], epsilon, out=buf[0, : hi - lo]).reshape(k, length)
                 b = v[lo:hi].reshape(k, length)
                 w = out[lo:hi].reshape(k, length)
                 if length == 1:
+                    if root:
+                        np.sqrt(d, out=d)
                     np.divide(b, d, out=w)
-                    continue
-                r = self.row[lo:hi].reshape(k, length)[:, 1:]
-                d0, w1 = d[:, :1], w[:, 1:]
-                denom = den_buf[: k * (length - 1)].reshape(k, length - 1)
-                tmp = tmp_buf[: k * (length - 1)].reshape(k, length - 1)
-                np.multiply(d[:, 1:], d0, out=denom)
-                np.subtract(denom, np.multiply(r, r, out=tmp), out=denom)
-                np.maximum(denom, epsilon, out=denom)
-                if np.any(denom == 0.0):
-                    raise MetricError("zero pair determinant; metric uninitialized?")
-                np.multiply(d0, b[:, 1:], out=tmp)
-                np.multiply(r, b[:, :1], out=w1)
-                np.subtract(tmp, w1, out=w1)
-                np.divide(w1, denom, out=w1)
-                total = np.sum(np.multiply(r, w1, out=tmp), axis=1)
-                np.subtract(b[:, 0], total, out=total)
-                np.divide(total, d[:, 0], out=w[:, 0])
+                else:
+                    # The weight formulas run over whole blocks, as
+                    # contiguous arrays are faster than strided views of
+                    # the weight columns. Their bias-column values are
+                    # thrown away, and its divisor is set to 1 first.
+                    r = self.row[lo:hi].reshape(k, length)
+                    d0 = d[:, :1]
+                    denom = buf[1, : hi - lo].reshape(k, length)
+                    tmp = buf[2, : hi - lo].reshape(k, length)
+                    np.multiply(d, d0, out=denom)
+                    np.subtract(denom, np.multiply(r, r, out=tmp), out=denom)
+                    np.maximum(denom, epsilon, out=denom)
+                    if epsilon == 0.0 and np.any(denom[:, 1:] == 0.0):
+                        raise MetricError("zero pair determinant; metric uninitialized?")
+                    denom[:, 0] = 1.0
+                    np.multiply(d0, b, out=tmp)
+                    np.multiply(r, b[:, :1], out=w)
+                    np.subtract(tmp, w, out=w)
+                    np.divide(w, denom, out=w)
+                    total = np.sum(np.multiply(r, w, out=tmp)[:, 1:], axis=1)
+                    np.subtract(b[:, 0], total, out=total)
+                    np.divide(total, d[:, 0], out=w[:, 0])
+                if _step is not None:
+                    _step.record(self, out, lo, hi)
         return out
 
     # -- inspection --------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import QDMetric, axpy
+from .metric import CHUNK_FLOATS, QDMetric, StepSolve, axpy
 
 __all__ = [
     "ALGOS",
@@ -66,25 +66,27 @@ class OptimizerConfig:
 
 
 class OptimizerState:
-    """Owns the metric and the dim-sized arrays of a step, allocated once.
+    """Owns the metric and the arrays of a step, allocated once.
 
     grad is the minibatch mean gradient and direction the preconditioned
     one (sgd steps along grad). spare is the (diag, row) pair that the next
     metric is built in, row None in diagonal mode: the step writes the
-    minibatch metric terms there and forms the moving average in place,
-    and once the step has succeeded the metric takes the pair over and its
-    old arrays become the next spare. A step that raises has written only
-    to these scratch arrays.
+    minibatch metric terms there, and the solve forms the moving average
+    in place, chunk by chunk; once the step has succeeded the metric takes
+    the pair over and its old arrays become the next spare. chunks is the
+    solve's chunk-sized scratch. A step that raises has written only to
+    these scratch arrays.
     """
 
     def __init__(self, net, cfg: OptimizerConfig):
         dim = net.layout.dim
         self.grad = np.empty(dim)
-        self.metric = self.direction = self.spare = None
+        self.metric = self.direction = self.spare = self.chunks = None
         if cfg.needs_metric:
             self.metric = QDMetric(net.layout, quasi=cfg.quasi)
             self.direction = np.empty(dim)
             self.spare = (np.empty(dim), np.empty(dim) if cfg.quasi else None)
+            self.chunks = np.empty((3, max(CHUNK_FLOATS, int(net.layout.lengths.max()))))
         self.t = 0  # completed parameter updates
 
     def commit(self, metric: QDMetric) -> None:
@@ -145,12 +147,15 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
     """One minibatch update; raises DivergenceError instead of writing NaNs.
 
     Order of operations: forward and backprop under the current parameters,
-    then the candidate metric, the preconditioned direction and the learned
-    output variances' gradient, then the finiteness check, and only then
-    the writes: parameters, metric, learned output variances (a plain SGD
-    step with the same eta) and the step count. A step that raises leaves
-    all of them as they were. The batch-sized arrays of the step live in
-    net.scratch. An empty batch raises ValueError before any work.
+    then one pass over theta-sized chunks that builds the candidate metric
+    in the spare pair, solves for the preconditioned direction and checks
+    both (QDMetric.solve with a StepSolve), and the learned output
+    variances' gradient. Only once every check has passed come the writes:
+    the parameters, updated in place in a second pass, the metric, the
+    learned output variances (a plain SGD step with the same eta) and the
+    step count. A step that raises leaves all of them as they were. The
+    batch-sized arrays of the step live in net.scratch. An empty batch
+    raises ValueError before any work.
     """
     if len(inputs) == 0:
         raise ValueError("a step needs at least one sample")
@@ -162,22 +167,20 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         loss = float(np.mean(model.loss(y, targets)))
         grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
         grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
-        grad_mean /= b
 
-        theta = net.get_params()
         metric = vgrad = None
         if cfg.algo == "sgd":
+            grad_mean /= b
             direction = grad_mean
+            finite = [_finite(direction), True, True]
         else:
             diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
-            metric = state.metric.updated(diag, row, cfg.gamma)
-            direction = state.direction
-            if cfg.algo == "adagrad":
-                np.add(metric.diag, cfg.epsilon, out=direction)
-                np.sqrt(direction, out=direction)
-                np.divide(grad_mean, direction, out=direction)
-            else:
-                metric.solve(grad_mean, cfg.epsilon, out=direction)
+            metric = QDMetric.from_arrays(net.layout, diag, row)
+            g = cfg.gamma if state.metric.initialized else 1.0
+            # divides grad_mean by b as it goes
+            step = StepSolve(state.metric, g, b, state.chunks, root=cfg.algo == "adagrad")
+            direction = metric.solve(grad_mean, cfg.epsilon, out=state.direction, _step=step)
+            finite = step.finite
         if getattr(model, "learn_variance", False):
             vgrad = model.variance_grad(y, targets).mean(axis=0)
         report = StepReport(
@@ -186,15 +189,16 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
             step_norm=float(cfg.eta * np.linalg.norm(direction)),
         )
 
-    checks = [("loss", loss), ("update direction", direction), ("output variance gradient", vgrad)]
-    if metric is not None:
-        checks += [("metric diagonal", metric.diag), ("metric row", metric.row)]
-    for name, value in checks:
-        if not _finite(value):
+    checks = [("loss", _finite(loss)), ("update direction", finite[0]),
+              ("output variance gradient", _finite(vgrad)),
+              ("metric diagonal", finite[1]), ("metric row", finite[2])]
+    for name, ok in checks:
+        if not ok:
             raise DivergenceError(f"non-finite {name}")
-    axpy(theta, -cfg.eta, direction)  # theta -= eta * direction, bit for bit
-    net.set_params(theta)
+    axpy(net.theta, -cfg.eta, direction)  # theta -= eta * direction, bit for bit
+    net.version += 1  # as set_params does
     if metric is not None:
+        metric.initialized = True
         state.commit(metric)
     if vgrad is not None:
         model.variance_step(vgrad, cfg.eta)

@@ -133,11 +133,16 @@ def test_config_errors_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
     (["train"], b"\xff\xfealgo = qdop\n", "bad.cfg: not UTF-8 text at byte 0"),
     (["--dataset", "csv", "--csv", "nope.csv"], None, "nope.csv: No such file or directory"),
     (["--dataset", "csv", "--csv", "."], None, ".: Is a directory"),
+    (["--dataset", "csv", "--csv", "bin.csv", "--arch", "3,2,3"], None,
+     "bin.csv: not UTF-8 text at byte 0"),
+    pytest.param(["train"], b"#" * 9000 + b"\n\xff", "bad.cfg: not UTF-8 text at byte 9001",
+                 id="non-UTF-8-byte-past-the-first-read"),
 ])
 def test_dataset_and_suite_errors_are_usage_errors(tmp_path, monkeypatch, capsys, argv, config,
                                                    message):
     # config values meet the flags' allowed values, and the dataset is built before the run
     monkeypatch.chdir(tmp_path)  # relative paths, as the messages quote them
+    (tmp_path / "bin.csv").write_bytes(b"\xff\xfe1,2,3\n")  # a CSV that is not UTF-8
     if config is None:
         argv = eeg_args(tmp_path, *argv)
     else:

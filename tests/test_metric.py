@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdgrad.metric import CHUNK_FLOATS, BlockLayout, MetricError, QDMetric, axpy
+from qdgrad import metric
+from qdgrad.metric import CHUNK_FLOATS, BlockLayout, MetricError, QDMetric, StepSolve, axpy
 from qdgrad.verify import qd_reduce, rank_one_update
 
 # ---------------------------------------------------------------------------
@@ -350,6 +351,98 @@ def test_chunked_solve_raises_both_errors_in_run_order():
     m.diag[last.start] = 0.0
     with pytest.raises(MetricError, match="zero bias entry"):
         m.solve(v, 0.0)
+
+
+def updated_then_solve(prev, diag_batch, row_batch, gamma, v, epsilon, root):
+    """A step's metric and direction as two calls: the moving average, then the solve.
+
+    The average is built in the batch arrays by the whole-array calls
+    decay(1 - g) and add_terms(prev, 1 - g); root solves as AdaGrad does,
+    v / sqrt(diag + epsilon).
+    """
+    g = gamma if prev.initialized else 1.0
+    new = QDMetric.from_arrays(prev.layout, diag_batch, row_batch)
+    new.decay(1.0 - g)  # g M_batch
+    new.add_terms(prev.diag, prev.row, 1.0 - g)
+    if root:
+        d = np.add(new.diag, epsilon)
+        np.sqrt(d, out=d)
+        return new, np.divide(v, d, out=d)
+    return new, new.solve(v, epsilon)
+
+
+def random_pair(rng, layout, quasi):
+    """A (diag, row) pair with every pair determinant positive, as a metric's."""
+    diag = rng.uniform(0.5, 2.0, layout.dim)
+    if not quasi:
+        return diag, None
+    bias = np.repeat(diag[layout.starts], layout.lengths)
+    row = rng.uniform(-0.5, 0.5, layout.dim) * np.sqrt(diag * bias)
+    row[layout.starts] = 0.0
+    return diag, row
+
+
+def bits(a):
+    return None if a is None else a.view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from([1, 2, 3, 7]), st.integers(1, 6)),
+                     min_size=1, max_size=5),
+       mode=st.sampled_from(["quasi", "diagonal", "root"]), initialized=st.booleans(),
+       gamma=st.sampled_from([0.01, 0.5]), epsilon=st.sampled_from([0.0, 1e-8]),
+       divisor=st.sampled_from([1, 3, 500]), chunk=st.sampled_from([1, 4, 16, CHUNK_FLOATS]),
+       damage=st.sampled_from([None, ("bias", 0.0), ("weight", 0.0), ("batch", 0.0),
+                               ("any", np.inf), ("any", np.nan)]), seed=st.integers(0, 2**32 - 1))
+def test_the_step_pass_computes_the_floats_of_updated_then_solve(
+        runs, mode, initialized, gamma, epsilon, divisor, chunk, damage, seed):
+    # one chunk loop averages, solves and checks; it must give the floats
+    # of the two whole-array calls, raise their errors and flag their
+    # non-finite values, however the blocks fall into chunks
+    rng = np.random.default_rng(seed)
+    layout = BlockLayout(np.array([length for length, count in runs for _ in range(count)]))
+    quasi, root = mode == "quasi", mode == "root"
+    prev = QDMetric.from_arrays(layout, *random_pair(rng, layout, quasi))
+    prev.initialized = initialized
+    batch = random_pair(rng, layout, quasi)
+    v = rng.standard_normal(layout.dim)
+    if damage is not None:
+        # zero diagonal entries (and their row entries) of both pairs, or of
+        # the batch's only, which a moving average over an initialized
+        # metric makes nonzero again; or a non-finite value in every array
+        kind, value = damage
+        where = {"bias": layout.starts,
+                 "weight": np.setdiff1d(np.arange(layout.dim), layout.starts)}.get(kind, layout.dim)
+        if np.size(where):
+            hit = rng.choice(where, size=min(2, np.size(where)), replace=False)
+            for a in (*batch, *(() if kind == "batch" else (prev.diag, prev.row))):
+                if a is not None:
+                    a[hit] = value
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "CHUNK_FLOATS", chunk)
+        try:
+            ref = updated_then_solve(prev, *(a if a is None else a.copy() for a in batch),
+                                     gamma, v / divisor, epsilon, root)
+        except MetricError as e:
+            ref = str(e)
+        grad = v.copy()
+        new = QDMetric.from_arrays(layout, *batch)
+        g = gamma if initialized else 1.0
+        step = StepSolve(prev, g, divisor, np.empty((3, 1)), root=root)
+        try:
+            got = new, new.solve(grad, epsilon, out=np.empty(layout.dim), _step=step)
+        except MetricError as e:
+            got = str(e)
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    (new, w), (new_ref, direction) = got, ref
+    np.testing.assert_array_equal(bits(new.diag), bits(new_ref.diag))
+    np.testing.assert_array_equal(bits(new.row), bits(new_ref.row))
+    np.testing.assert_array_equal(bits(w), bits(direction))
+    np.testing.assert_array_equal(bits(grad), bits(v / divisor))
+    assert step.finite == [bool(np.isfinite(direction).all()), bool(np.isfinite(new_ref.diag).all()),
+                           new_ref.row is None or bool(np.isfinite(new_ref.row).all())]
 
 
 # ---------------------------------------------------------------------------

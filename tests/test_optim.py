@@ -463,6 +463,26 @@ def test_warm_step_allocates_less_than_two_thetas(algo):
     assert peak - before < 2 * net.theta.nbytes
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+def test_a_warm_step_allocates_less_than_a_fifth_of_theta(algo):
+    # the step updates theta in place and builds the metric inside the
+    # solve's chunks, so its peak is a few chunk-sized buffers
+    rng = np.random.default_rng(13)
+    net, model, X, T = random_problem(rng, [784, 300, 10], 10, batch=8)
+    cfg = OptimizerConfig(algo, eta=0.01)
+    state = OptimizerState(net, cfg)
+    for _ in range(2):
+        optimizer_step(net, model, X, T, state, cfg, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        optimizer_step(net, model, X, T, state, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 0.2 * net.theta.nbytes
+
+
 @pytest.mark.parametrize("algo, n_mc", [*((algo, 1) for algo in ALGOS), ("qdmcnat", 3)],
                          ids=[*ALGOS, "qdmcnat-n_mc3"])
 @pytest.mark.parametrize("masked", [False, True])
@@ -518,6 +538,12 @@ def test_a_qdnat_step_needs_no_more_scratch_than_a_qdop_step():
     assert floats["qdnat"] <= floats["qdop"]
 
 
+# the first non-finite quantity in the check order: loss, update direction,
+# output variance gradient, metric diagonal, metric row. An infinite
+# diagonal entry gives a zero, finite, diagonal-mode direction
+NON_FINITE = {"adagrad": "metric diagonal", "dop": "metric diagonal", "qdop": "update direction"}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("algo", ["adagrad", "dop", "qdop"])
 def test_step_with_a_non_finite_metric_raises_and_keeps_the_state(algo):
@@ -532,7 +558,7 @@ def test_step_with_a_non_finite_metric_raises_and_keeps_the_state(algo):
     state = OptimizerState(net, cfg)
     optimizer_step(net, model, X, T, state, cfg)
     theta, metric, t = net.get_params(), state.metric.copy(), state.t
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=f"^non-finite {NON_FINITE[algo]}$"):
         optimizer_step(net, model, X, T * 1e151, state, cfg)
     np.testing.assert_array_equal(net.theta, theta)
     np.testing.assert_array_equal(state.metric.diag, metric.diag)
