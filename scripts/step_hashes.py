@@ -11,9 +11,9 @@ output variances; masked tanh with dropout; dense sigmoid with dropout and
 a Bernoulli head), it takes 4 steps of every algorithm, the Monte Carlo
 ones at n_mc 1 and 3, and prints the same three hashes and how many of the
 steps diverged. Last come dop and qdop at epsilon = 0, on a dense tanh net
-at gamma 0.01 and 1 and on the dense relu net, with the count of steps that
-raised MetricError. Two trees that print the same hash lines computed the
-same floats in those steps. Run from the repository root:
+at gamma 0.01 and 1 and on the dense relu net, where a zero divisor in the
+solve makes a step diverge. Two trees that print the same hash lines
+computed the same floats in those steps. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/step_hashes.py
 
@@ -40,10 +40,10 @@ SMALL_NETS = (  # name, activation, fan-in of the masked layers (None: dense), d
     ("dense-sigmoid", "sigmoid", None, 0.2, "bernoulli"),
 )
 SMALL_STEPS = 4
-# runs at epsilon = 0, where the solve checks for zero divisors: a dense tanh
-# net, whose metric has none, at gamma = 1 too, where every step's moving
-# average is the first step's; and the relu net, whose dead units make
-# every step raise MetricError
+# runs at epsilon = 0, where a zero divisor makes the direction non-finite:
+# a dense tanh net at gamma 0.01, and at gamma = 1, where every step's
+# moving average is the first step's; and the relu net, whose dead units
+# make every step diverge
 DENSE_TANH = ("dense-tanh", "tanh", None, 0.0, "categorical")
 EPSILON_ZERO_RUNS = (  # net, algo, gamma
     (DENSE_TANH, "dop", 0.01),
@@ -77,7 +77,7 @@ def _small_run(spec, algo, n_mc=1, **cfg):
     """Hashes of theta, diag and row after SMALL_STEPS steps on one small net."""
     import numpy as np
 
-    from qdgrad import metric, network, optim, outputs
+    from qdgrad import network, optim, outputs
 
     name, activation, fan_in, dropout, output = spec
     rng = np.random.default_rng(SEED)
@@ -89,7 +89,7 @@ def _small_run(spec, algo, n_mc=1, **cfg):
     model = outputs.make_output_model(output, SMALL_SIZES[-1])
     cfg = optim.OptimizerConfig(algo, 0.1, n_mc=n_mc, **cfg)
     state = optim.OptimizerState(net, cfg)
-    diverged = errors = 0
+    diverged = 0
     for _ in range(SMALL_STEPS):
         x = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[0]))
         if output == "categorical":
@@ -102,13 +102,10 @@ def _small_run(spec, algo, n_mc=1, **cfg):
             optim.optimizer_step(net, model, x, t, state, cfg, rng)
         except optim.DivergenceError:
             diverged += 1
-        except metric.MetricError:
-            errors += 1
     metric = state.metric  # None for sgd
     arrays = (net.theta, *((None, None) if metric is None else (metric.diag, metric.row)))
     hashes = " / ".join(_digest(a) for a in arrays)
-    line = f"theta / diag / row {hashes}; diverged {diverged}"
-    return line + (f"; metric errors {errors}" if errors else "")
+    return f"theta / diag / row {hashes}; diverged {diverged}"
 
 
 def _small_runs():

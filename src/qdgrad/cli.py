@@ -15,7 +15,7 @@ from .data import generate_eeg, load_csv, load_idx
 from .harness import (DEFAULT_ETA_GRID, RunConfig, RunConfigError, benchmark, grid_search,
                       parse_config_file, run_training)
 from .network import ACTIVATIONS
-from .optim import ALGOS
+from .optim import ALGOS, DivergenceError
 from .outputs import OUTPUT_MODELS
 from .verify import SUITES, run_suite
 
@@ -190,7 +190,11 @@ def cmd_grid(opt) -> int:
 
 def cmd_bench(opt) -> int:
     ds = _load_dataset(opt)
-    res = benchmark(ds, _run_config(opt), algos=opt["algos"], epochs=max(3, opt["epochs"]))
+    try:
+        res = benchmark(ds, _run_config(opt), algos=opt["algos"], epochs=max(3, opt["epochs"]))
+    except DivergenceError as e:
+        print(f"qdgrad: {e}", file=sys.stderr)
+        return 1
     print("\n".join(res.summary_lines()))
     return 0
 

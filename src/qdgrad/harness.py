@@ -317,6 +317,8 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
     run is built first, and their epochs are then timed round-robin, so a
     slow stretch of the machine spreads over the algorithms instead of
     landing on one. Ratios are relative to sgd, which is always benchmarked.
+    A diverging step ends the benchmark with a DivergenceError that names
+    the algorithm and the non-finite quantity.
     """
     if epochs < 3:
         raise ValueError("need at least 3 epochs for a stable median")
@@ -329,7 +331,10 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
     for _ in range(epochs):
         for algo, (net, model, state, cfg, rng) in runs.items():
             t0 = time.perf_counter()
-            _epoch(ds, config.batch_size, net, model, state, cfg, rng)
+            try:
+                _epoch(ds, config.batch_size, net, model, state, cfg, rng)
+            except DivergenceError as e:
+                raise DivergenceError(f"{algo} diverged: {e}") from e
             times[algo].append(time.perf_counter() - t0)
     medians = {algo: float(np.median(t)) for algo, t in times.items()}
     ratios = {algo: medians[algo] / medians["sgd"] for algo in algos}

@@ -109,10 +109,12 @@ class StepSolve:
     moving average (1 - g) prev + g M_batch, with the float operations of
     decay(1 - g) and then add_terms(prev.diag, prev.row, 1 - g), and
     divides v by divisor in place. With root it divides by the square
-    root of diag + epsilon instead (AdaGrad's exponent -1/2). buf is
-    (3, n) scratch for the loop, used when n covers its chunks. finite
-    records whether the direction, the diagonal and the row all came out
-    finite; a missing row is finite.
+    root of diag + epsilon instead (AdaGrad's exponent -1/2). buf is the
+    loop's (3, n) scratch, n at least the solve's chunk width:
+    max(CHUNK_FLOATS, the longest block). finite records whether the
+    direction, the diagonal and the row all came out finite; a missing row
+    is finite. The solve makes no zero-divisor check here: at epsilon = 0 a
+    zero divisor makes the direction non-finite, and finite says so.
     """
 
     prev: "QDMetric"
@@ -143,27 +145,16 @@ class QDMetric:
     unused and kept at zero. In diagonal mode there is no row: ``row`` is
     None.
 
-    The constructor allocates a zero metric; ``from_arrays`` wraps arrays
-    handed in. The training step double-buffers the metric: its solve
-    builds the next metric in a spare pair of arrays, and once the step
-    has succeeded the old pair becomes the next spare.
+    The constructor allocates a zero metric. The training step
+    double-buffers it: OptimizerState holds two, the step's solve builds
+    the next metric in the spare one, and once the step has succeeded the
+    two swap.
     """
 
     def __init__(self, layout: BlockLayout, quasi: bool = True):
         self.layout = layout
         self.diag = np.zeros(layout.dim)
         self.row = np.zeros(layout.dim) if quasi else None
-        self.initialized = False
-
-    @classmethod
-    def from_arrays(cls, layout: BlockLayout, diag, row) -> "QDMetric":
-        """An uninitialized metric over the given arrays, not copied.
-
-        row None means diagonal mode.
-        """
-        m = cls.__new__(cls)
-        m.layout, m.diag, m.row, m.initialized = layout, diag, row, False
-        return m
 
     @property
     def quasi(self) -> bool:
@@ -209,11 +200,12 @@ class QDMetric:
         so that one pass over the chunks also builds this metric and checks
         what it wrote.
 
-        Raises MetricError on an exactly zero divisor, which happens only
-        for an uninitialized metric with epsilon = 0: with epsilon > 0 and
-        a nonnegative diagonal no divisor is zero, and the checks are
-        skipped. A run's zero bias entry is reported before any zero pair
-        determinant in it.
+        Without _step, raises MetricError on an exactly zero divisor, which
+        happens only for an uninitialized metric with epsilon = 0: with
+        epsilon > 0 and a nonnegative diagonal no divisor is zero, and the
+        checks are skipped. A run's zero bias entry is reported before any
+        zero pair determinant in it. With _step there are no such checks;
+        a zero divisor shows as a non-finite direction in _step.finite.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.layout.dim,):
@@ -224,27 +216,20 @@ class QDMetric:
             out = np.empty_like(v)
         groups = self.layout.groups() if self.quasi else [(0, self.layout.dim, 1)]
         width = max(CHUNK_FLOATS, max(length for _, _, length in groups))
-        fits = _step is not None and _step.buf.shape[1] >= width
-        buf = _step.buf if fits else np.empty((3, width))
+        buf = np.empty((3, width)) if _step is None else _step.buf
         root = _step is not None and _step.root
+        check = epsilon == 0.0 and _step is None
         for flat, count, length in groups:
             stop = flat + count * length
-            blend = _step is not None
-            if epsilon == 0.0 and not root:
-                if blend:  # the whole run, as all its bias entries are checked first
-                    for lo in range(flat, stop, width):
-                        _step.blend(self, lo, min(lo + width, stop), buf[2])
-                    blend = False
-                if np.any(self.diag[flat:stop:length] == 0.0):
-                    entry = "bias" if self.quasi else "diagonal"
-                    raise MetricError(f"zero {entry} entry; metric uninitialized?")
+            if check and np.any(self.diag[flat:stop:length] == 0.0):
+                entry = "bias" if self.quasi else "diagonal"
+                raise MetricError(f"zero {entry} entry; metric uninitialized?")
             rows = width // length  # whole blocks per chunk
             for lo in range(flat, stop, rows * length):
                 hi = min(lo + rows * length, stop)
                 k = (hi - lo) // length
-                if blend:
-                    _step.blend(self, lo, hi, buf[2])
                 if _step is not None:
+                    _step.blend(self, lo, hi, buf[2])
                     v[lo:hi] /= _step.divisor
                 d = np.add(self.diag[lo:hi], epsilon, out=buf[0, : hi - lo]).reshape(k, length)
                 b = v[lo:hi].reshape(k, length)
@@ -265,7 +250,7 @@ class QDMetric:
                     np.multiply(d, d0, out=denom)
                     np.subtract(denom, np.multiply(r, r, out=tmp), out=denom)
                     np.maximum(denom, epsilon, out=denom)
-                    if epsilon == 0.0 and np.any(denom[:, 1:] == 0.0):
+                    if check and np.any(denom[:, 1:] == 0.0):
                         raise MetricError("zero pair determinant; metric uninitialized?")
                     denom[:, 0] = 1.0
                     np.multiply(d0, b, out=tmp)
@@ -278,11 +263,3 @@ class QDMetric:
                 if _step is not None:
                     _step.record(self, out, lo, hi)
         return out
-
-    # -- inspection --------------------------------------------------------
-
-    def copy(self) -> "QDMetric":
-        row = None if self.row is None else self.row.copy()
-        m = QDMetric.from_arrays(self.layout, self.diag.copy(), row)
-        m.initialized = self.initialized
-        return m

@@ -69,13 +69,12 @@ class OptimizerState:
     """Owns the metric and the arrays of a step, allocated once.
 
     grad is the minibatch mean gradient and direction the preconditioned
-    one (sgd steps along grad). spare is the (diag, row) pair that the next
-    metric is built in, row None in diagonal mode: the step writes the
-    minibatch metric terms there, and the solve forms the moving average
-    in place, chunk by chunk; once the step has succeeded the metric takes
-    the pair over and its old arrays become the next spare. chunks is the
-    solve's chunk-sized scratch. A step that raises has written only to
-    these scratch arrays.
+    one (sgd steps along grad). spare is a second QDMetric that the next
+    metric is built in: the step writes the minibatch metric terms there,
+    and the solve forms the moving average in place, chunk by chunk; once
+    the step has succeeded, metric and spare swap. chunks is the solve's
+    chunk-sized scratch. A step that raises has written only to these
+    scratch arrays.
     """
 
     def __init__(self, net, cfg: OptimizerConfig):
@@ -85,15 +84,9 @@ class OptimizerState:
         if cfg.needs_metric:
             self.metric = QDMetric(net.layout, quasi=cfg.quasi)
             self.direction = np.empty(dim)
-            self.spare = (np.empty(dim), np.empty(dim) if cfg.quasi else None)
+            self.spare = QDMetric(net.layout, quasi=cfg.quasi)
             self.chunks = np.empty((3, max(CHUNK_FLOATS, int(net.layout.lengths.max()))))
         self.t = 0  # completed parameter updates
-
-    def commit(self, metric: QDMetric) -> None:
-        """Keep metric, built in the spare pair, and make the old pair the spare."""
-        old = self.metric
-        self.spare = (old.diag, old.row)
-        self.metric = metric
 
 
 @dataclass
@@ -148,19 +141,22 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
 
     Order of operations: forward and backprop under the current parameters,
     then one pass over theta-sized chunks that builds the candidate metric
-    in the spare pair, solves for the preconditioned direction and checks
+    in state.spare, solves for the preconditioned direction and checks
     both (QDMetric.solve with a StepSolve), and the learned output
-    variances' gradient. Only once every check has passed come the writes:
-    the parameters, updated in place in a second pass, the metric, the
-    learned output variances (a plain SGD step with the same eta) and the
-    step count. A step that raises leaves all of them as they were. The
+    variances' gradient. The first step (state.t == 0) sets the metric to
+    the minibatch's terms. Only once every check has passed come the
+    writes: the parameters, updated in place in a second pass, the metric
+    (a swap of state.metric and state.spare), the learned output variances
+    (a plain SGD step with the same eta) and the step count. A step that
+    raises leaves all of them as they were. At epsilon = 0 a zero divisor
+    in the solve is a non-finite update direction like any other. The
     batch-sized arrays of the step live in net.scratch. An empty batch
     raises ValueError before any work.
     """
     if len(inputs) == 0:
         raise ValueError("a step needs at least one sample")
-    # overflow here surfaces as a DivergenceError below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and zero divisors surface as a DivergenceError below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         trace = net.forward(inputs, mode="train", rng=rng, scratch=net.scratch)
         y = trace.output
         b = y.shape[0]
@@ -168,18 +164,18 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
         grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
 
-        metric = vgrad = None
+        vgrad = None
         if cfg.algo == "sgd":
             grad_mean /= b
             direction = grad_mean
             finite = [_finite(direction), True, True]
         else:
-            diag, row = _metric_batch(net, model, trace, grad_deltas, cfg, rng, state.spare)
-            metric = QDMetric.from_arrays(net.layout, diag, row)
-            g = cfg.gamma if state.metric.initialized else 1.0
+            new = state.spare
+            _metric_batch(net, model, trace, grad_deltas, cfg, rng, (new.diag, new.row))
+            g = 1.0 if state.t == 0 else cfg.gamma
             # divides grad_mean by b as it goes
             step = StepSolve(state.metric, g, b, state.chunks, root=cfg.algo == "adagrad")
-            direction = metric.solve(grad_mean, cfg.epsilon, out=state.direction, _step=step)
+            direction = new.solve(grad_mean, cfg.epsilon, out=state.direction, _step=step)
             finite = step.finite
         if getattr(model, "learn_variance", False):
             vgrad = model.variance_grad(y, targets).mean(axis=0)
@@ -197,9 +193,8 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
             raise DivergenceError(f"non-finite {name}")
     axpy(net.theta, -cfg.eta, direction)  # theta -= eta * direction, bit for bit
     net.version += 1  # as set_params does
-    if metric is not None:
-        metric.initialized = True
-        state.commit(metric)
+    if state.spare is not None:
+        state.metric, state.spare = state.spare, state.metric
     if vgrad is not None:
         model.variance_step(vgrad, cfg.eta)
     state.t += 1

@@ -132,7 +132,6 @@ def qd_reduce(dense, layout: BlockLayout, quasi: bool = True) -> QDMetric:
             sl = layout.block_slice(k)
             bias = sl.start
             m.row[sl.start + 1 : sl.stop] = dense[bias, sl.start + 1 : sl.stop]
-    m.initialized = True
     return m
 
 

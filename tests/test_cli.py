@@ -96,6 +96,40 @@ def test_train_divergence_exit_code(tmp_path, capsys):
     assert "diverged=1" in capsys.readouterr().out
 
 
+# a relu autoencoder with units that no sample reaches: at epsilon = 0 its
+# metric has zero bias entries, which make a qdop step's direction non-finite
+DEAD_RELU = ["--dataset", "synthetic-eeg", "--eeg-samples", "512", "--arch", "56,24,8,24,56",
+             "--output", "gaussian", "--activation", "relu", "--epsilon", "0",
+             "--seed", "0"]
+
+
+def test_train_and_grid_record_a_zero_divisor_at_epsilon_zero_as_divergence(tmp_path, capsys):
+    log = tmp_path / "run.csv"
+    assert main(["train", *DEAD_RELU, "--algo", "qdop", "--epochs", "2", "--log", str(log)]) == 1
+    assert "diverged=1" in capsys.readouterr().out
+    assert [r.diverged for r in read_rows(log)] == [0, 1, 1]
+    assert main(["grid", *DEAD_RELU, "--algo", "qdop", "--epochs", "2",
+                 "--lr-grid", "0.001,0.01", "--log", str(log)]) == 1
+    out = capsys.readouterr().out
+    assert "0.001,nan,1," in out and "0.01,nan,1," in out
+    for eta in ("0.001", "0.01"):
+        assert [r.diverged for r in read_rows(f"{log}.eta{eta}.csv")] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--algos", "qdop", "--lr", "1e30"], "sgd diverged: non-finite loss"),
+    (["--algos", "qdop", "--activation", "relu", "--epsilon", "0"],
+     "qdop diverged: non-finite update direction"),
+], ids=["lr-1e30", "relu-epsilon0"])
+def test_bench_names_the_diverging_algorithm_and_quantity(capsys, extra, message):
+    rc = main(["bench", "--dataset", "synthetic-eeg", "--eeg-samples", "512",
+               "--arch", "56,24,8,24,56", "--output", "gaussian", "--seed", "0", *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"qdgrad: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["train", "grid", "bench"])
 @pytest.mark.parametrize("extra, message", [
     (["--sparsity", "-1"], "fan_in must be at least 1, got -1"),

@@ -38,7 +38,6 @@ def random_qd_metric(rng, lengths, n_terms=4):
     for _ in range(n_terms):
         v = rng.standard_normal(layout.dim)
         rank_one_update(m, v, float(rng.uniform(0.1, 2.0)))
-    m.initialized = True
     return m
 
 
@@ -353,22 +352,38 @@ def test_chunked_solve_raises_both_errors_in_run_order():
         m.solve(v, 0.0)
 
 
-def updated_then_solve(prev, diag_batch, row_batch, gamma, v, epsilon, root):
-    """A step's metric and direction as two calls: the moving average, then the solve.
+def metric_over(layout, diag, row):
+    """A QDMetric over the given arrays, not copied; row None is diagonal mode."""
+    m = QDMetric(layout, quasi=row is not None)
+    m.diag, m.row = diag, row
+    return m
 
-    The average is built in the batch arrays by the whole-array calls
-    decay(1 - g) and add_terms(prev, 1 - g); root solves as AdaGrad does,
-    v / sqrt(diag + epsilon).
+
+def updated(prev, diag_batch, row_batch, g):
+    """A step's moving-average metric, by the whole-array calls.
+
+    The average is built in the batch arrays by decay(1 - g) and then
+    add_terms(prev, 1 - g).
     """
-    g = gamma if prev.initialized else 1.0
-    new = QDMetric.from_arrays(prev.layout, diag_batch, row_batch)
+    new = metric_over(prev.layout, diag_batch, row_batch)
     new.decay(1.0 - g)  # g M_batch
     new.add_terms(prev.diag, prev.row, 1.0 - g)
+    return new
+
+
+def solved(metric, v, epsilon, root):
+    """The whole-array solve, or None where it raises MetricError.
+
+    root solves as AdaGrad does, v / sqrt(diag + epsilon).
+    """
     if root:
-        d = np.add(new.diag, epsilon)
+        d = np.add(metric.diag, epsilon)
         np.sqrt(d, out=d)
-        return new, np.divide(v, d, out=d)
-    return new, new.solve(v, epsilon)
+        return np.divide(v, d, out=d)
+    try:
+        return metric.solve(v, epsilon)
+    except MetricError:
+        return None
 
 
 def random_pair(rng, layout, quasi):
@@ -389,27 +404,27 @@ def bits(a):
 @settings(max_examples=200, deadline=None)
 @given(runs=st.lists(st.tuples(st.sampled_from([1, 2, 3, 7]), st.integers(1, 6)),
                      min_size=1, max_size=5),
-       mode=st.sampled_from(["quasi", "diagonal", "root"]), initialized=st.booleans(),
+       mode=st.sampled_from(["quasi", "diagonal", "root"]), first=st.booleans(),
        gamma=st.sampled_from([0.01, 0.5]), epsilon=st.sampled_from([0.0, 1e-8]),
        divisor=st.sampled_from([1, 3, 500]), chunk=st.sampled_from([1, 4, 16, CHUNK_FLOATS]),
        damage=st.sampled_from([None, ("bias", 0.0), ("weight", 0.0), ("batch", 0.0),
                                ("any", np.inf), ("any", np.nan)]), seed=st.integers(0, 2**32 - 1))
 def test_the_step_pass_computes_the_floats_of_updated_then_solve(
-        runs, mode, initialized, gamma, epsilon, divisor, chunk, damage, seed):
+        runs, mode, first, gamma, epsilon, divisor, chunk, damage, seed):
     # one chunk loop averages, solves and checks; it must give the floats
-    # of the two whole-array calls, raise their errors and flag their
-    # non-finite values, however the blocks fall into chunks
+    # of the two whole-array calls, flag their non-finite values, and flag
+    # a direction where the whole-array solve raises on a zero divisor,
+    # however the blocks fall into chunks
     rng = np.random.default_rng(seed)
     layout = BlockLayout(np.array([length for length, count in runs for _ in range(count)]))
     quasi, root = mode == "quasi", mode == "root"
-    prev = QDMetric.from_arrays(layout, *random_pair(rng, layout, quasi))
-    prev.initialized = initialized
+    prev = metric_over(layout, *random_pair(rng, layout, quasi))
     batch = random_pair(rng, layout, quasi)
     v = rng.standard_normal(layout.dim)
     if damage is not None:
         # zero diagonal entries (and their row entries) of both pairs, or of
-        # the batch's only, which a moving average over an initialized
-        # metric makes nonzero again; or a non-finite value in every array
+        # the batch's only, which a moving average after the first step
+        # makes nonzero again; or a non-finite value in every array
         kind, value = damage
         where = {"bias": layout.starts,
                  "weight": np.setdiff1d(np.arange(layout.dim), layout.starts)}.get(kind, layout.dim)
@@ -418,31 +433,26 @@ def test_the_step_pass_computes_the_floats_of_updated_then_solve(
             for a in (*batch, *(() if kind == "batch" else (prev.diag, prev.row))):
                 if a is not None:
                     a[hit] = value
+    g = 1.0 if first else gamma
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "CHUNK_FLOATS", chunk)
-        try:
-            ref = updated_then_solve(prev, *(a if a is None else a.copy() for a in batch),
-                                     gamma, v / divisor, epsilon, root)
-        except MetricError as e:
-            ref = str(e)
+        new_ref = updated(prev, *(a if a is None else a.copy() for a in batch), g)
+        direction = solved(new_ref, v / divisor, epsilon, root)
         grad = v.copy()
-        new = QDMetric.from_arrays(layout, *batch)
-        g = gamma if initialized else 1.0
-        step = StepSolve(prev, g, divisor, np.empty((3, 1)), root=root)
-        try:
-            got = new, new.solve(grad, epsilon, out=np.empty(layout.dim), _step=step)
-        except MetricError as e:
-            got = str(e)
-    if isinstance(ref, str):
-        assert got == ref
-        return
-    (new, w), (new_ref, direction) = got, ref
+        new = metric_over(layout, *batch)
+        width = max(chunk, int(layout.lengths.max()))  # the solve's chunk width
+        step = StepSolve(prev, g, divisor, np.empty((3, width)), root=root)
+        w = new.solve(grad, epsilon, out=np.empty(layout.dim), _step=step)
     np.testing.assert_array_equal(bits(new.diag), bits(new_ref.diag))
     np.testing.assert_array_equal(bits(new.row), bits(new_ref.row))
-    np.testing.assert_array_equal(bits(w), bits(direction))
     np.testing.assert_array_equal(bits(grad), bits(v / divisor))
-    assert step.finite == [bool(np.isfinite(direction).all()), bool(np.isfinite(new_ref.diag).all()),
-                           new_ref.row is None or bool(np.isfinite(new_ref.row).all())]
+    if direction is None:  # a zero divisor at epsilon = 0
+        assert step.finite[0] is False
+    else:
+        np.testing.assert_array_equal(bits(w), bits(direction))
+        assert step.finite[0] == bool(np.isfinite(direction).all())
+    assert step.finite[1:] == [bool(np.isfinite(new_ref.diag).all()),
+                               new_ref.row is None or bool(np.isfinite(new_ref.row).all())]
 
 
 # ---------------------------------------------------------------------------

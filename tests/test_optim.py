@@ -256,25 +256,35 @@ def test_moving_average_second_step_uses_gamma():
     np.testing.assert_allclose(state.metric.diag, 0.75 * m1 + 0.25 * m1, rtol=1e-6)
 
 
+def metric_arrays(metric):
+    """Copies of a metric's diag and row; row None in diagonal mode."""
+    return metric.diag.copy(), None if metric.row is None else metric.row.copy()
+
+
+def bits(a):
+    return None if a is None else a.view(np.int64)
+
+
 def first_step_metric(net, model, X, T, cfg):
     """The metric after one step from a fresh state; net is left as it was."""
     state = OptimizerState(net, cfg)
     optimizer_step(net.copy(), model, X, T, state, cfg)
+    assert state.t == 1
     return state.metric
 
 
 def test_first_step_metric_is_the_batch_metric_and_is_linear():
-    # gamma = 1 on an uninitialized metric: the first step's metric is the
+    # gamma = 1 on the first step (state.t == 0): its metric is the
     # minibatch terms themselves, so it is linear in the batch
     rng = np.random.default_rng(6)
     net, model, X, T = random_problem(rng, [3, 4, 2], 2, batch=8)
     cfg = OptimizerConfig("qdop", eta=0.1)
 
-    whole = first_step_metric(net, model, X, T, cfg)
-    assert whole.initialized
+    whole = first_step_metric(net, model, X, T, cfg)  # asserts the step completed
     tr = net.forward(X, mode="train")
     deltas = net.backprop_deltas(tr, model.loss_output_grad(tr.output, T))
-    diag, row = _metric_batch(net, model, tr, deltas, cfg, None, OptimizerState(net, cfg).spare)
+    spare = OptimizerState(net, cfg).spare
+    diag, row = _metric_batch(net, model, tr, deltas, cfg, None, (spare.diag, spare.row))
     np.testing.assert_array_equal(whole.diag, diag)
     np.testing.assert_array_equal(whole.row, row)
 
@@ -317,9 +327,11 @@ def test_mcnat_metric_expectation_matches_nat():
     deltas = net.backprop_deltas(tr, model.loss_output_grad(tr.output, T))
     cfg_mc = OptimizerConfig("qdmcnat", eta=0.1)
     cfg_nat = OptimizerConfig("qdnat", eta=0.1)
-    out = OptimizerState(net, cfg_nat).spare
-    nat_diag, nat_row = _metric_batch(net, model, tr, deltas, cfg_nat, None, out)
-    out = OptimizerState(net, cfg_mc).spare
+    spare = OptimizerState(net, cfg_nat).spare
+    nat_diag, nat_row = _metric_batch(net, model, tr, deltas, cfg_nat, None,
+                                      (spare.diag, spare.row))
+    spare = OptimizerState(net, cfg_mc).spare
+    out = (spare.diag, spare.row)
 
     n = 10_000
     s1_d = np.zeros(net.layout.dim)
@@ -344,7 +356,7 @@ def test_mcnat_multiple_draws_average():
     cfg = OptimizerConfig("qdmcnat", eta=0.1, n_mc=3)
     state = OptimizerState(net, cfg)
     optimizer_step(net, model, X, T, state, cfg, rng=np.random.default_rng(0))
-    assert state.metric.initialized
+    assert state.t == 1
     assert np.all(state.metric.diag >= 0.0)
 
 
@@ -378,7 +390,9 @@ def test_divergence_raises_and_leaves_params_untouched():
         optimizer_step(net, model, X, T, state, cfg, rng)  # warms the metric
         net.set_params(np.array([1e200, 0.0]))  # the next loss overflows
         theta, log_sigma, t = net.get_params(), model.log_sigma.copy(), state.t
-        metric = None if state.metric is None else state.metric.copy()
+        metric = state.metric
+        if metric is not None:
+            diag, row = metric_arrays(metric)
         with pytest.raises(DivergenceError):
             optimizer_step(net, model, X, T, state, cfg, rng)
         np.testing.assert_array_equal(net.get_params(), theta, err_msg=algo)
@@ -387,9 +401,9 @@ def test_divergence_raises_and_leaves_params_untouched():
         if metric is None:
             assert state.metric is None, algo
             continue
-        np.testing.assert_array_equal(state.metric.diag, metric.diag, err_msg=algo)
-        np.testing.assert_array_equal(state.metric.row, metric.row, err_msg=algo)
-        assert state.metric.initialized is metric.initialized is True, algo
+        assert state.metric is metric, algo  # not swapped for the spare
+        np.testing.assert_array_equal(state.metric.diag, diag, err_msg=algo)
+        np.testing.assert_array_equal(state.metric.row, row, err_msg=algo)
 
 
 @st.composite
@@ -440,7 +454,6 @@ def test_failed_step_leaves_no_trace_in_later_steps(problem, algo):
         return
     np.testing.assert_array_equal(sa.metric.diag, sb.metric.diag)
     np.testing.assert_array_equal(sa.metric.row, sb.metric.row)
-    assert sa.metric.initialized is sb.metric.initialized is True
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -489,10 +502,13 @@ def test_a_warm_step_allocates_less_than_a_fifth_of_theta(algo):
 def test_warm_passes_allocate_nothing_batch_sized(algo, n_mc, masked):
     # After one step and one evaluation, a step and an evaluation carve
     # their batch-sized arrays from net.scratch without reallocating it. A
-    # step allocates less than one (B, n) array of the smallest hidden
-    # layer besides the theta copy, the finiteness mask and the solve's
-    # three chunk rows; the output head's (B, K) arrays are much smaller.
-    # An evaluation allocates its feature gather and a few small objects.
+    # step allocates only chunk-sized buffers: the masked layers' two
+    # gather buffers of CHUNK_FLOATS floats (sampled products), or the
+    # update's one chunk (axpy), whichever is larger; and the output head's
+    # (B, K) arrays, 16 KiB each here, of which it holds less than three
+    # (measured above the chunks: at most 20 KB dense, 44 KB masked). So a
+    # theta-sized copy, even the masked net's 50 KB one, does not fit. An
+    # evaluation allocates its feature gather and a few small objects.
     rng = np.random.default_rng(17)
     sizes, b, k = [32, 320, 256, 4], 512, 4
     masks = make_sparse_layout(sizes, 8, rng) if masked else None
@@ -520,8 +536,8 @@ def test_warm_passes_allocate_nothing_batch_sized(algo, n_mc, masked):
     finally:
         tracemalloc.stop()
     assert net.scratch.buf is buf
-    allowed = net.theta.nbytes + net.theta.size + (3 * CHUNK_FLOATS * 8 if cfg.quasi else 0)
-    assert step - allowed < b * min(sizes[1:-1]) * 8
+    chunks = max(2 * CHUNK_FLOATS if masked else 0, min(CHUNK_FLOATS, net.theta.size)) * 8
+    assert step - chunks < 3 * b * k * 8
     assert evaluation <= ds.features[ds.valid_idx].nbytes + 2**14
 
 
@@ -557,16 +573,49 @@ def test_step_with_a_non_finite_metric_raises_and_keeps_the_state(algo):
     cfg = OptimizerConfig(algo, eta=1e-6)
     state = OptimizerState(net, cfg)
     optimizer_step(net, model, X, T, state, cfg)
-    theta, metric, t = net.get_params(), state.metric.copy(), state.t
+    theta, metric, t = net.get_params(), state.metric, state.t
+    diag, row = metric_arrays(metric)
     with pytest.raises(DivergenceError, match=f"^non-finite {NON_FINITE[algo]}$"):
         optimizer_step(net, model, X, T * 1e151, state, cfg)
     np.testing.assert_array_equal(net.theta, theta)
-    np.testing.assert_array_equal(state.metric.diag, metric.diag)
-    np.testing.assert_array_equal(state.metric.row, metric.row)
+    assert state.metric is metric  # not swapped for the spare
+    np.testing.assert_array_equal(state.metric.diag, diag)
+    np.testing.assert_array_equal(state.metric.row, row)
     assert state.t == t == 1
-    assert state.metric.initialized
     optimizer_step(net, model, X, T, state, cfg)
     assert np.all(net.theta != theta)  # the next good step moves every coordinate
+
+
+@pytest.mark.filterwarnings("error")  # no divide-by-zero warning either
+@pytest.mark.parametrize("algo, zero", [("qdop", "bias entry"), ("qdop", "pair determinant"),
+                                        ("dop", "bias entry")])
+def test_a_zero_divisor_at_epsilon_zero_is_a_non_finite_direction(algo, zero):
+    # a relu unit that no sample reaches has a zero bias entry (and zero
+    # pair determinants); in a tanh net, whose bias entries are all
+    # nonzero, an input column of zeros gives its weights zero pair
+    # determinants. A warm metric keeps the zeros, as both minibatches
+    # have them
+    rng = np.random.default_rng(20)
+    activation = "relu" if zero == "bias entry" else "tanh"
+    net, model, X, T = random_problem(rng, [3, 4, 2], 2, activation)
+    if zero == "bias entry":
+        net.layers[0][0, 0] = -1e3  # unit 0 of the hidden layer is dead
+        net.version += 1
+    else:
+        X[:, 1] = 0.0
+    warm = OptimizerConfig(algo, eta=0.1, epsilon=1e-8)
+    cfg = OptimizerConfig(algo, eta=0.1, epsilon=0.0)
+    state = OptimizerState(net, warm)
+    optimizer_step(net, model, X, T, state, warm)
+    metric = state.metric
+    theta, (diag, row) = net.get_params(), metric_arrays(metric)
+    with pytest.raises(DivergenceError, match="^non-finite update direction$"):
+        optimizer_step(net, model, X, T, state, cfg)
+    np.testing.assert_array_equal(bits(net.theta), bits(theta))
+    assert state.metric is metric  # not swapped for the spare
+    np.testing.assert_array_equal(bits(state.metric.diag), bits(diag))
+    np.testing.assert_array_equal(bits(state.metric.row), bits(row))
+    assert state.t == 1
 
 
 def test_learned_variance_takes_sgd_step():
