@@ -49,15 +49,15 @@ def _mnist(opt):
     d = Path(opt["data_dir"])
     images, labels = d / MNIST_IMAGES, d / MNIST_LABELS
     if not images.exists() or not labels.exists():
-        raise SystemExit(f"MNIST IDX files not found under {d} "
-                         f"(expected {MNIST_IMAGES} and {MNIST_LABELS})")
+        raise RunConfigError(f"MNIST IDX files not found under {d} "
+                             f"(expected {MNIST_IMAGES} and {MNIST_LABELS})")
     n_valid = opt["n_valid"]
     return load_idx(images, labels, n_valid=10_000 if n_valid is None else n_valid)
 
 
 def _csv(opt):
     if not opt["csv"]:
-        raise SystemExit("--dataset csv needs --csv PATH")
+        raise RunConfigError("--dataset csv needs --csv PATH")
     return load_csv(opt["csv"], **_given(target_columns=opt["csv_targets"],
                                          has_header=opt["csv_header"], n_valid=opt["n_valid"]))
 
@@ -134,11 +134,11 @@ def _merge_options(args) -> dict:
         for key, raw in parse_config_file(args.config).items():
             dest = key.replace("-", "_")
             if dest not in OPTIONS:
-                raise SystemExit(f"config file: unknown option {key!r}")
+                raise RunConfigError(f"config file: unknown option {key!r}")
             try:
                 val = OPTIONS[dest].conv(raw)
             except ValueError as e:
-                raise SystemExit(f"config file: bad value for {key!r}: {e}")
+                raise RunConfigError(f"config file: bad value for {key!r}: {e}") from e
             choices = OPTIONS[dest].choices
             if choices is not None and val not in choices:
                 raise RunConfigError(f"unknown {dest} {val!r}; choose from {', '.join(choices)}")
@@ -161,7 +161,7 @@ def _load_dataset(opt):
 
 def _run_config(opt) -> RunConfig:
     if opt["arch"] is None:
-        raise SystemExit("--arch is required (e.g. --arch 784,100,10)")
+        raise RunConfigError("--arch is required (e.g. --arch 784,100,10)")
     return RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig)})
 
 
@@ -218,16 +218,18 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run the command in argv; return its exit status.
+
+    A usage error is a RunConfigError, raised while a run is built and never
+    by a step: main prints "qdgrad: error: <message>" and returns 2. A flag
+    that argparse rejects exits with status 2 from argparse itself.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_merge_options(args))
-    except RunConfigError as e:  # raised only while a run is built, never by a step
+    except RunConfigError as e:
         print(f"qdgrad: error: {e}", file=sys.stderr)
         return 2
-    except SystemExit as e:  # a message for the user, with argparse's usage status
-        print(f"qdgrad: error: {e}", file=sys.stderr)
-        e.code = 2
-        raise
 
 
 if __name__ == "__main__":

@@ -59,6 +59,14 @@ class RunConfigError(ValueError):
     """The run's configuration cannot be built, for instance for its dataset."""
 
 
+def _open_output(path, mode="w"):
+    """path, created or truncated, open for writing; a RunConfigError naming it if it cannot be."""
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise RunConfigError(f"{path}: {e.strerror}") from e
+
+
 @dataclass
 class LogRow:
     epoch: int
@@ -86,7 +94,7 @@ class TrainLog:
         self.rows = []
         self._fh = None
         if path is not None:
-            self._fh = open(path, "w")
+            self._fh = _open_output(path)
             self._fh.write(",".join(LOG_COLUMNS) + "\n")
             self._fh.flush()
 
@@ -192,11 +200,15 @@ def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
     The epoch-0 row reports metrics at initialization; epoch k reports them
     after k full passes. A divergent step marks its epoch and every
     remaining one with the diverged flag and NaN metrics, then stops
-    training. The final checkpoint always holds finite parameters.
+    training. The final checkpoint always holds finite parameters. An
+    output path that cannot be written raises RunConfigError before the
+    first step; the checkpoint's file is created then.
     """
     if config.invert_inputs:
         ds = invert_features(ds)
     net, model, state, cfg, rng = _build(ds, config)
+    if config.checkpoint is not None:
+        _open_output(config.checkpoint, "wb").close()
     log = TrainLog(config.log)
     try:
         if config.epochs > 0:

@@ -53,7 +53,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools, csc_array, csr_array
+from scipy.sparse import _sparsetools, csr_array
 from scipy.special import expit
 
 from .metric import CHUNK_FLOATS, BlockLayout
@@ -162,17 +162,19 @@ class _NewArrays:
 _NEW_ARRAYS = _NewArrays()
 
 
-def _matmul(P, x, out):
-    """P @ x for a dense or compressed sparse P, written to the C-order out.
+def _matmul(P, x, out, transpose=False):
+    """P @ x, or P.T @ x with transpose, for a dense or CSR P, written to the C-order out.
 
-    A sparse P runs the kernel that scipy's P @ x runs, on zeros, as scipy
-    does, so both give the same floats.
+    A CSR P runs the kernel that scipy's P @ x runs, on zeros, as scipy
+    does. Its indptr, indices and data are also the CSC form of P.T, so
+    P.T @ x runs scipy's CSC kernel on them, as scipy's P.T @ x does. Both
+    give scipy's floats, and neither copies P.
     """
     if isinstance(P, np.ndarray):
-        return np.matmul(P, x, out=out)
+        return np.matmul(P.T if transpose else P, x, out=out)
     out.fill(0.0)
-    (M, N), k = P.shape, x.shape[1]
-    kernel = getattr(_sparsetools, P.format + "_matvecs")
+    (M, N), k = P.shape[::-1] if transpose else P.shape, x.shape[1]
+    kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
     kernel(M, N, k, P.indptr, P.indices, P.data, x.ravel(), out.ravel())
     return out
 
@@ -231,17 +233,6 @@ def _with_ones(b, m, scratch):
     return a
 
 
-def _aliased(kind, data, indices, indptr, shape):
-    """A compressed sparse array whose data is the given view itself.
-
-    Its constructor copies a view of less than half of its base array, and
-    so does every scipy product that transposes a sparse operand first.
-    """
-    M = kind((data, indices, indptr), shape=shape)
-    M.data = data
-    return M
-
-
 class _LayerIndex:
     """Where one weight layer's [b|W] matrix sits in a theta-shaped vector.
 
@@ -275,9 +266,9 @@ class _LayerIndex:
     def mask(self):
         if self.dense:
             return None
-        ones = np.ones(self.size, dtype=bool)
-        full = csr_array((ones, self.indices, self.indptr), shape=(self.n, 1 + self.m))
-        return full.toarray()[:, 1:]
+        full = np.zeros((self.n, 1 + self.m), dtype=bool)
+        full[self.rows, self.indices] = True
+        return full[:, 1:]
 
     def seg(self, flat):
         return flat[self.offset : self.offset + self.size]
@@ -287,13 +278,9 @@ class _LayerIndex:
         seg = self.seg(flat)
         if self.dense:
             return seg.reshape(self.n, 1 + self.m)
-        return _aliased(csr_array, seg, self.indices, self.indptr, (self.n, 1 + self.m))
-
-    def matrix_t(self, flat):
-        """The transpose of matrix(flat), aliasing the same segment."""
-        if self.dense:
-            return self.matrix(flat).T
-        return _aliased(csc_array, self.seg(flat), self.indices, self.indptr, (1 + self.m, self.n))
+        P = csr_array((seg, self.indices, self.indptr), shape=(self.n, 1 + self.m))
+        P.data = seg  # the constructor copies a view of less than half of its base array
+        return P
 
     def sampled_products(self, d, a, out, out_sq=None):
         """The products of a masked layer, sampled at its stored entries.
@@ -355,10 +342,9 @@ class Network:
             offset += idx.size
         self.layout = BlockLayout(np.concatenate([idx.degrees for idx in self._index]))
         self.theta = np.zeros(self.layout.dim)
-        # [b|W] per weight layer, and its transpose for backprop; both alias
-        # theta, so writes to them are writes to theta
+        # [b|W] per weight layer, aliasing theta, so writes to it are writes
+        # to theta; forward reads P and backprop P.T from the same matrix
         self.layers = [idx.matrix(self.theta) for idx in self._index]
-        self._layers_t = [idx.matrix_t(self.theta) for idx in self._index]
         self.version = 0
         self.scratch = Scratch()
 
@@ -470,8 +456,8 @@ class Network:
         for layer in range(self.n_layers - 1, 0, -1):
             # d @ P, a new array, so the products below work in place;
             # column 0 is the bias
-            Pt = self._layers_t[layer]
-            d = _matmul(Pt, d.T, scratch.take(Pt.shape[0], b)).T[:, 1:]
+            P = self.layers[layer]
+            d = _matmul(P, d.T, scratch.take(P.shape[1], b), transpose=True).T[:, 1:]
             if trace.masks[layer - 1] is not None:
                 d *= trace.masks[layer - 1]
             h = trace.hidden[layer - 1]
@@ -600,7 +586,7 @@ CHECKPOINT_FORMAT = 1
 
 
 def save_checkpoint(path, net: Network, model=None) -> None:
-    """Architecture header plus flat parameters in a single npz file."""
+    """Architecture header plus flat parameters in one npz file at path; no ".npz" is added."""
     payload = {
         "format": np.int64(CHECKPOINT_FORMAT),
         "sizes": np.asarray(net.sizes, dtype=np.int64),
@@ -608,16 +594,15 @@ def save_checkpoint(path, net: Network, model=None) -> None:
         "dropout": np.float64(net.dropout),
         "params": net.get_params(),
     }
-    for layer, idx in enumerate(net._index):
-        if idx.mask is not None:
-            payload[f"mask_{layer}"] = idx.mask
+    payload.update((f"mask_{layer}", m) for layer, m in enumerate(net.masks) if m is not None)
     if model is not None:
         payload["output_kind"] = np.str_(model.kind)
         payload["output_k"] = np.int64(model.k)
         if model.kind == "gaussian":
             payload["log_sigma"] = model.log_sigma
             payload["learn_variance"] = np.bool_(model.learn_variance)
-    np.savez(path, **payload)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(path):
@@ -628,12 +613,8 @@ def load_checkpoint(path):
         if int(z["format"]) != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {int(z['format'])}")
         sizes = z["sizes"].tolist()
-        masks = None
-        if any(k.startswith("mask_") for k in z.files):
-            masks = [
-                z[f"mask_{layer}"] if f"mask_{layer}" in z.files else None
-                for layer in range(len(sizes) - 1)
-            ]
+        # a fully connected layer stores no mask
+        masks = [z.get(f"mask_{layer}") for layer in range(len(sizes) - 1)]
         net = Network(
             sizes,
             activation=str(z["activation"]),

@@ -262,14 +262,14 @@ def one_step_gaps(base, model, X, T, probes, eta=1.0) -> dict:
     (a) tanh_qdop_gap: a sigmoid net and its tanh reparameterization under
     qdop; (b) invert_qdop_gap: the net and its input-flip twin, trained on
     1 - X with the bias correspondence; invert_sgd_gap: (b) under sgd,
-    which is not invariant. Works for dense and masked nets alike.
+    which is not invariant. Works for dense and masked nets alike. The
+    base net's step under each algorithm is taken once, for both gaps.
     """
-    gaps = {"tanh_qdop_gap": _output_gap(
-        _one_step_outputs(base.copy(), model, X, T, probes, "qdop", eta),
-        _one_step_outputs(to_tanh_equivalent(base), model, X, T, probes, "qdop", eta),
-    )}
-    for algo in ("qdop", "sgd"):
-        ya = _one_step_outputs(base.copy(), model, X, T, probes, algo, eta)
+    y = {algo: _one_step_outputs(base.copy(), model, X, T, probes, algo, eta)
+         for algo in ("qdop", "sgd")}
+    y_tanh = _one_step_outputs(to_tanh_equivalent(base), model, X, T, probes, "qdop", eta)
+    gaps = {"tanh_qdop_gap": _output_gap(y["qdop"], y_tanh)}
+    for algo, ya in y.items():
         yb = _one_step_outputs(to_inverted_inputs(base), model, 1.0 - X, T,
                                1.0 - probes, algo, eta)
         gaps[f"invert_{algo}_gap"] = _output_gap(ya, yb)

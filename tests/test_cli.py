@@ -45,16 +45,19 @@ def test_train_synthetic_writes_log_and_checkpoint(tmp_path, capsys):
     assert net.sizes == [8, 6, 8] and model.kind == "gaussian"
 
 
-def test_train_requires_arch(tmp_path):
-    with pytest.raises(SystemExit, match="--arch"):
-        main(["train", "--dataset", "synthetic-eeg", "--eeg-samples", "32",
-              "--eeg-channels", "4", "--output", "gaussian"])
+def test_train_requires_arch(tmp_path, capsys):
+    assert main(["train", "--dataset", "synthetic-eeg", "--eeg-samples", "32",
+                 "--eeg-channels", "4", "--output", "gaussian"]) == 2
+    assert capsys.readouterr().err == ("qdgrad: error: --arch is required "
+                                       "(e.g. --arch 784,100,10)\n")
 
 
-def test_train_missing_mnist_dir_errors(tmp_path):
-    with pytest.raises(SystemExit, match="IDX files not found"):
-        main(["train", "--dataset", "mnist", "--data-dir", str(tmp_path),
-              "--arch", "784,10,10"])
+def test_train_missing_mnist_dir_errors(tmp_path, capsys):
+    assert main(["train", "--dataset", "mnist", "--data-dir", str(tmp_path),
+                 "--arch", "784,10,10"]) == 2
+    assert capsys.readouterr().err == (
+        f"qdgrad: error: MNIST IDX files not found under {tmp_path} "
+        "(expected train-images-idx3-ubyte and train-labels-idx1-ubyte)\n")
 
 
 def test_train_mnist_like_with_limit(mnist_like_dir, tmp_path):
@@ -186,6 +189,34 @@ def test_dataset_and_suite_errors_are_usage_errors(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--log", "missing/run.csv"], "missing/run.csv: No such file or directory"),
+    (["train", "--log", "."], ".: Is a directory"),
+    (["train", "--checkpoint", "missing/x.npz"], "missing/x.npz: No such file or directory"),
+    (["grid", "--lr-grid", "0.01,0.1", "--log", "missing/g"],
+     "missing/g.eta0.01.csv: No such file or directory"),
+])
+def test_an_unwritable_output_path_is_a_usage_error_before_any_step(tmp_path, monkeypatch,
+                                                                     capsys, argv, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the output path was checked")
+
+    monkeypatch.chdir(tmp_path)  # where no directory "missing" exists
+    monkeypatch.setattr("qdgrad.harness.optimizer_step", no_step)
+    assert main([argv[0], *eeg_args(tmp_path, *argv[1:])[1:]]) == 2
+    assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
+
+
+def test_checkpoint_is_written_to_the_path_given(tmp_path, monkeypatch, capsys):
+    # no ".npz" is added, so the file printed is the file written
+    monkeypatch.chdir(tmp_path)
+    assert main(eeg_args(tmp_path, "--epochs", "1", "--checkpoint", "ck")) == 0
+    assert "checkpoint written to ck\n" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    net, model = load_checkpoint("ck")
+    assert net.sizes == [8, 6, 8] and model.kind == "gaussian"
+
+
 COMMON_FLAGS = [
     "--activation", "--algo", "--arch", "--batch-size", "--checkpoint", "--config", "--csv",
     "--csv-header", "--csv-targets", "--data-dir", "--dataset", "--dropout", "--eeg-channels",
@@ -242,18 +273,20 @@ def test_flags_override_config_file(tmp_path):
     assert ra[-1].train_nll != rb[-1].train_nll  # but from different seeds
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("no-such-option = 1\n")
-    with pytest.raises(SystemExit, match="unknown option"):
-        main(["train", "--config", str(cfg)])
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("qdgrad: error: config file: "
+                                       "unknown option 'no-such-option'\n")
 
 
-def test_config_file_bad_value(tmp_path):
+def test_config_file_bad_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = soon\n")
-    with pytest.raises(SystemExit, match="bad value"):
-        main(["train", "--config", str(cfg)])
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("qdgrad: error: config file: bad value for 'epochs': "
+                                       "invalid literal for int() with base 10: 'soon'\n")
 
 
 def test_grid_prints_summary_and_marks_best(tmp_path, capsys):

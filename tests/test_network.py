@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
 
 from qdgrad import network
 from qdgrad.metric import QDMetric
@@ -524,19 +524,38 @@ def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed
         np.testing.assert_array_equal(tr_e.output, net.forward(X, mode="eval").output)
 
 
-@pytest.mark.parametrize("fmt", [csr_array, csc_array])
+@pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 7])
 @pytest.mark.parametrize("transposed", [False, True])
-def test_sparse_matmul_matches_scipy_bitwise(fmt, k, transposed):
-    # _matmul calls scipy's private kernel into a given array; this pins it
-    # to what S @ x computes
+def test_sparse_matmul_matches_scipy_bitwise(transpose, k, transposed):
+    # _matmul calls scipy's private kernels into a given array; this pins
+    # them to what S @ x (the CSR kernel) and S.T @ x (the CSC one) compute
     rng = np.random.default_rng(15)
     dense = rng.standard_normal((40, 300)) * (rng.random((40, 300)) < 0.3)
-    S = fmt(dense)
-    x = rng.standard_normal((k, 300)).T if transposed else rng.standard_normal((300, k))
-    out = np.full((40, k), np.nan)
-    assert _matmul(S, x, out) is out
-    np.testing.assert_array_equal(out, S @ x)
+    S = csr_array(dense)
+    ref = S.T if transpose else S
+    assert ref.format == ("csc" if transpose else "csr")
+    (M, N) = ref.shape
+    x = rng.standard_normal((k, N)).T if transposed else rng.standard_normal((N, k))
+    out = np.full((M, k), np.nan)
+    assert _matmul(S, x, out, transpose=transpose) is out
+    np.testing.assert_array_equal(out, ref @ x)
+
+
+def test_masks_reads_back_the_given_masks():
+    # a fully connected layer, whether given as None or as an all-True
+    # mask, reads back as None
+    rng = np.random.default_rng(17)
+    sizes = [6, 5, 4, 3]
+    given = make_sparse_layout(sizes, fan_in=2, rng=rng)  # the output mask is all True
+    given[0][1] = False  # an empty row
+    given[0][2] = True  # a full one
+    np.testing.assert_array_equal(given[0].sum(axis=1), [2, 0, 6, 2, 2])
+    masks = Network(sizes, "tanh", masks=[given[0], None, given[2]]).masks
+    assert len(masks) == 3 and masks[1] is None and masks[2] is None
+    assert masks[0].dtype == bool
+    np.testing.assert_array_equal(masks[0], given[0])
+    assert Network(sizes).masks == [None, None, None]
 
 
 def test_passes_without_scratch_return_new_arrays():
