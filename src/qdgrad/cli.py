@@ -1,7 +1,9 @@
 """Command-line interface: train, grid, bench, and verify subcommands.
 
-OPTIONS declares every option once. It builds the flags, and a flat key=value
-config file (--config) goes through the same converters and allowed values.
+OPTIONS declares every option once, with the commands that read it. It builds
+each command's flags, and a flat key=value config file (--config) goes through
+the same converters and allowed values. A config file may set any option, so
+one file serves several commands; each command keeps the options it reads.
 Flags override file values, which override built-in defaults.
 """
 
@@ -11,7 +13,7 @@ from collections import namedtuple
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-from .data import generate_eeg, load_csv, load_idx
+from .data import generate_eeg, invert_features, load_csv, load_idx
 from .harness import (DEFAULT_ETA_GRID, RunConfig, RunConfigError, benchmark, grid_search,
                       parse_config_file, run_training)
 from .network import ACTIVATIONS
@@ -71,9 +73,11 @@ DATASETS = {"mnist": _mnist, "csv": _csv, "synthetic-eeg": _eeg}
 
 
 # dest -> Option; the flag is --dest with "-" for "_", and the config key is either form.
-# group: the --help section, or the one command that has the flag; conv: string -> value;
-# default: None is unset, or RunConfig's default for its fields; choices: allowed values
-Option = namedtuple("Option", "group conv default choices help", defaults=(str, None, None, None))
+# group: the --help section; conv: string -> value; default: None is unset, or RunConfig's
+# default for its fields; choices: allowed values; commands: the commands that read it
+RUN_COMMANDS = ("train", "grid", "bench")
+Option = namedtuple("Option", "group conv default choices help commands",
+                    defaults=(str, None, None, None, RUN_COMMANDS))
 OPTIONS = {
     "dataset": Option("data", default="mnist", choices=list(DATASETS)),
     "data_dir": Option("data", default=".", help="directory holding the MNIST IDX files"),
@@ -84,42 +88,47 @@ OPTIONS = {
     "eeg_channels": Option("data", int),
     "n_valid": Option("data", int, help="validation rows taken from the end"),
     "train_limit": Option("data", int, help="cap on training rows"),
-    "invert_inputs": Option("data", _parse_bool, help="train on 1 - x instead of x"),
+    "invert_inputs": Option("data", _parse_bool, help="replace every feature x by 1 - x"),
     "arch": Option("model", _parse_list(int), help='layer sizes, e.g. "784,100,10"'),
     "activation": Option("model", choices=ACTIVATIONS),
     "output": Option("model", choices=list(OUTPUT_MODELS)),
     "dropout": Option("model", float),
     "sparsity": Option("model", int, help="random incoming connections per hidden unit"),
-    "algo": Option("optimization", choices=ALGOS),
-    "lr": Option("optimization", float),
-    "lr_grid": Option("optimization", _parse_list(float),
-                      help='step-sizes for grid, e.g. "1e-4,1e-3,1e-2"'),
+    "algo": Option("optimization", choices=ALGOS, commands=("train", "grid")),
+    "algos": Option("optimization", _parse_list(str), commands=("bench",),
+                    help='algorithms to time, e.g. "sgd,qdop,qdnat"'),
+    "lr": Option("optimization", float, commands=("train", "bench")),
+    "lr_grid": Option("optimization", _parse_list(float), commands=("grid",),
+                      help='step-sizes to try, e.g. "1e-4,1e-3,1e-2"'),
     "gamma": Option("optimization", float),
     "epsilon": Option("optimization", float),
     "nmc": Option("optimization", int),
-    "epochs": Option("optimization", int),
+    "epochs": Option("optimization", int,
+                     help="passes over the training rows; bench times at least 3"),
     "batch_size": Option("optimization", int),
     "seed": Option("optimization", int),
-    "log": Option("outputs", help="CSV log path"),
-    "checkpoint": Option("outputs", help="final model checkpoint path (.npz)"),
-    "algos": Option("bench", _parse_list(str), help='algorithms to time, e.g. "sgd,qdop,qdnat"'),
-    "suite": Option("verify", default="all", choices=[*sorted(SUITES), "all"]),
+    "log": Option("outputs", help="CSV log path", commands=("train", "grid")),
+    "checkpoint": Option("outputs", help="final model checkpoint path (.npz)",
+                         commands=("train",)),
+    "suite": Option("verification", default="all", choices=[*sorted(SUITES), "all"],
+                    commands=("verify",)),
 }
 
 
 def _build_parser():
     p = argparse.ArgumentParser(prog="qdgrad", description="Quasi-diagonal Riemannian training")
     sub = p.add_subparsers(dest="command", required=True)
-    all_groups = dict.fromkeys(o.group for o in OPTIONS.values())
     for name, (_, about) in COMMANDS.items():
-        # an unset flag stays out of the namespace, so it overrides nothing
-        cmd = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
-        groups = {g: cmd.add_argument_group(g) for g in all_groups
-                  if g not in COMMANDS or g == name}
-        groups["data"].add_argument("--config",
-                                    help="flat key=value option file; flags override it")
+        # an unset flag stays out of the namespace, so it overrides nothing; with no
+        # abbreviations, "grid --lr" is an unknown flag rather than --lr-grid
+        cmd = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS,
+                             allow_abbrev=False)
+        cmd.add_argument("--config", help="flat key=value option file; flags override it")
+        groups = {}
         for dest, o in OPTIONS.items():
-            if o.group in groups:
+            if name in o.commands:
+                if o.group not in groups:
+                    groups[o.group] = cmd.add_argument_group(o.group)
                 kw = ({"action": "store_true"} if o.conv is _parse_bool
                       else {"type": o.conv, "choices": o.choices})
                 groups[o.group].add_argument("--" + dest.replace("_", "-"), help=o.help, **kw)
@@ -127,9 +136,14 @@ def _build_parser():
 
 
 def _merge_options(args) -> dict:
-    """builtin defaults < config file < explicit flags."""
+    """builtin defaults < config file < explicit flags, for the options args.command reads.
+
+    A config file may set any option; a value the command does not read is
+    still checked, then left out.
+    """
     run = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
-    merged = {dest: run.get(dest, o.default) for dest, o in OPTIONS.items()}
+    merged = {dest: run.get(dest, o.default) for dest, o in OPTIONS.items()
+              if args.command in o.commands}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             dest = key.replace("-", "_")
@@ -142,18 +156,24 @@ def _merge_options(args) -> dict:
             choices = OPTIONS[dest].choices
             if choices is not None and val not in choices:
                 raise RunConfigError(f"unknown {dest} {val!r}; choose from {', '.join(choices)}")
-            merged[dest] = val
+            if dest in merged:
+                merged[dest] = val
     merged.update((dest, v) for dest, v in vars(args).items() if dest in OPTIONS)
     return merged
 
 
 def _load_dataset(opt):
-    """The run's dataset; a ValueError while it is built is a RunConfigError."""
+    """The run's dataset, inverted and limited as asked.
+
+    A ValueError while it is built is a RunConfigError.
+    """
     limit = opt["train_limit"]
     if limit is not None and limit < 1:
         raise RunConfigError(f"train limit must be at least 1, got {limit}")
     try:
         ds = DATASETS[opt["dataset"]](opt)
+        if opt["invert_inputs"]:
+            ds = invert_features(ds)
     except ValueError as e:
         raise RunConfigError(str(e)) from e
     return ds if limit is None else replace(ds, train_idx=ds.train_idx[:limit])
@@ -162,7 +182,7 @@ def _load_dataset(opt):
 def _run_config(opt) -> RunConfig:
     if opt["arch"] is None:
         raise RunConfigError("--arch is required (e.g. --arch 784,100,10)")
-    return RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig)})
+    return RunConfig(**{f.name: opt[f.name] for f in fields(RunConfig) if f.name in opt})
 
 
 def cmd_train(opt) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, invert_features, minibatches, read_text
+from .data import Dataset, minibatches, read_text
 from .network import Network, make_sparse_layout, save_checkpoint
 from .optim import ALGOS, DivergenceError, OptimizerConfig, OptimizerState, optimizer_step
 from .outputs import make_output_model
@@ -34,6 +34,14 @@ EVAL_CHUNK = 1024
 
 @dataclass
 class RunConfig:
+    """One run's model, optimizer, schedule and output paths; the dataset comes separately.
+
+    A transform of the data, such as inverting the inputs, is applied to the
+    Dataset before it is passed in. grid_search runs it once per step-size,
+    each with its own log and no checkpoint; benchmark runs it once per
+    algorithm and writes neither output.
+    """
+
     arch: list
     activation: str = "sigmoid"
     output: str = "categorical"
@@ -46,7 +54,6 @@ class RunConfig:
     batch_size: int = 100
     dropout: float = 0.0
     sparsity: int | None = None  # fan-in per hidden unit; None = dense
-    invert_inputs: bool = False
     seed: int = 0
     log: str | None = None
     checkpoint: str | None = None
@@ -90,7 +97,6 @@ class TrainLog:
     """Per-epoch metrics, optionally mirrored incrementally to a CSV file."""
 
     def __init__(self, path=None):
-        self.path = path
         self.rows = []
         self._fh = None
         if path is not None:
@@ -195,7 +201,7 @@ def _epoch(ds: Dataset, batch_size, net, model, state, cfg, rng) -> None:
 
 
 def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
-    """Epochs of minibatch steps with per-epoch evaluation rows.
+    """Epochs of minibatch steps on ds as given, with per-epoch evaluation rows.
 
     The epoch-0 row reports metrics at initialization; epoch k reports them
     after k full passes. A divergent step marks its epoch and every
@@ -204,8 +210,6 @@ def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
     output path that cannot be written raises RunConfigError before the
     first step; the checkpoint's file is created then.
     """
-    if config.invert_inputs:
-        ds = invert_features(ds)
     net, model, state, cfg, rng = _build(ds, config)
     if config.checkpoint is not None:
         _open_output(config.checkpoint, "wb").close()
@@ -324,11 +328,11 @@ class BenchResult:
 def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResult:
     """Median wall time of the minibatch step loop per epoch, per algorithm.
 
-    Evaluation and logging are excluded from timing: only forward, backprop,
-    metric work, and the parameter update are measured. Every algorithm's
-    run is built first, and their epochs are then timed round-robin, so a
-    slow stretch of the machine spreads over the algorithms instead of
-    landing on one. Ratios are relative to sgd, which is always benchmarked.
+    Nothing is evaluated, and config's log and checkpoint are not written:
+    only forward, backprop, metric work, and the parameter update are
+    timed. Every algorithm's run is built first, and their epochs are then
+    timed round-robin, so a slow stretch of the machine spreads over the
+    algorithms instead of landing on one. Ratios are relative to sgd, which is always benchmarked.
     A diverging step ends the benchmark with a DivergenceError that names
     the algorithm and the non-finite quantity.
     """
@@ -337,8 +341,7 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
     algos = list(algos) if algos is not None else list(ALGOS)
     if "sgd" not in algos:
         algos.insert(0, "sgd")
-    runs = {algo: _build(ds, replace(config, algo=algo, log=None, checkpoint=None))
-            for algo in algos}
+    runs = {algo: _build(ds, replace(config, algo=algo)) for algo in algos}
     times = {algo: [] for algo in algos}
     for _ in range(epochs):
         for algo, (net, model, state, cfg, rng) in runs.items():

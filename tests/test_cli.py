@@ -1,21 +1,26 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import write_csv
 
-from qdgrad.cli import _build_parser, main
-from qdgrad.data import generate_eeg
-from qdgrad.harness import TrainLog
+from qdgrad.cli import OPTIONS, _build_parser, _load_dataset, _merge_options, _run_config, main
+from qdgrad.data import generate_eeg, invert_features
+from qdgrad.harness import RunConfig, TrainLog, parse_config_file, run_training
 from qdgrad.network import load_checkpoint
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
-def eeg_args(tmp_path, *extra):
-    return [
-        "train", "--dataset", "synthetic-eeg", "--eeg-samples", "64",
-        "--eeg-channels", "8", "--n-valid", "16", "--arch", "8,6,8",
-        "--output", "gaussian", "--algo", "qdop", "--lr", "0.05",
-        "--epochs", "2", "--batch-size", "16", "--seed", "3",
-        *extra,
-    ]
+EEG = ["--dataset", "synthetic-eeg", "--eeg-samples", "64", "--eeg-channels", "8",
+       "--n-valid", "16", "--arch", "8,6,8", "--output", "gaussian",
+       "--epochs", "2", "--batch-size", "16", "--seed", "3"]
+# the step-size and algorithm flags that each run command takes
+OWN = {"train": ["--algo", "qdop", "--lr", "0.05"], "grid": ["--algo", "qdop"],
+       "bench": ["--lr", "0.05"]}
+
+
+def run_args(command, *extra):
+    return [command, *EEG, *OWN[command], *extra]
 
 
 def read_rows(path):
@@ -35,7 +40,7 @@ def logs_equal_modulo_wall(a, b):
 def test_train_synthetic_writes_log_and_checkpoint(tmp_path, capsys):
     log = tmp_path / "run.csv"
     ckpt = tmp_path / "run.npz"
-    rc = main(eeg_args(tmp_path, "--log", str(log), "--checkpoint", str(ckpt)))
+    rc = main(run_args("train", "--log", str(log), "--checkpoint", str(ckpt)))
     assert rc == 0
     out = capsys.readouterr().out
     assert "epoch 2:" in out and str(log) in out and str(ckpt) in out
@@ -146,7 +151,7 @@ def test_bench_names_the_diverging_algorithm_and_quantity(capsys, extra, message
 def test_config_errors_are_usage_errors(tmp_path, monkeypatch, capsys, command, extra, message):
     # status 2 with the message, not a traceback; status 1 means "diverged"
     monkeypatch.chdir(tmp_path)  # where no nope.cfg exists
-    rc = main([command, *eeg_args(tmp_path, *extra)[1:]])
+    rc = main(run_args(command, *extra))
     assert rc == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 
@@ -181,7 +186,7 @@ def test_dataset_and_suite_errors_are_usage_errors(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)  # relative paths, as the messages quote them
     (tmp_path / "bin.csv").write_bytes(b"\xff\xfe1,2,3\n")  # a CSV that is not UTF-8
     if config is None:
-        argv = eeg_args(tmp_path, *argv)
+        argv = run_args("train", *argv)
     else:
         (tmp_path / "bad.cfg").write_bytes(config if isinstance(config, bytes) else config.encode())
         argv = [*argv, "--config", "bad.cfg"]
@@ -203,36 +208,108 @@ def test_an_unwritable_output_path_is_a_usage_error_before_any_step(tmp_path, mo
 
     monkeypatch.chdir(tmp_path)  # where no directory "missing" exists
     monkeypatch.setattr("qdgrad.harness.optimizer_step", no_step)
-    assert main([argv[0], *eeg_args(tmp_path, *argv[1:])[1:]]) == 2
+    assert main(run_args(*argv)) == 2
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 
 
 def test_checkpoint_is_written_to_the_path_given(tmp_path, monkeypatch, capsys):
     # no ".npz" is added, so the file printed is the file written
     monkeypatch.chdir(tmp_path)
-    assert main(eeg_args(tmp_path, "--epochs", "1", "--checkpoint", "ck")) == 0
+    assert main(run_args("train", "--epochs", "1", "--checkpoint", "ck")) == 0
     assert "checkpoint written to ck\n" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
     net, model = load_checkpoint("ck")
     assert net.sizes == [8, 6, 8] and model.kind == "gaussian"
 
 
-COMMON_FLAGS = [
-    "--activation", "--algo", "--arch", "--batch-size", "--checkpoint", "--config", "--csv",
-    "--csv-header", "--csv-targets", "--data-dir", "--dataset", "--dropout", "--eeg-channels",
-    "--eeg-samples", "--epochs", "--epsilon", "--gamma", "--help", "--invert-inputs", "--log",
-    "--lr", "--lr-grid", "--n-valid", "--nmc", "--output", "--seed", "--sparsity",
-    "--train-limit", "-h",
+# the flags that train, grid and bench share
+RUN_FLAGS = [
+    "--activation", "--arch", "--batch-size", "--config", "--csv", "--csv-header",
+    "--csv-targets", "--data-dir", "--dataset", "--dropout", "--eeg-channels", "--eeg-samples",
+    "--epochs", "--epsilon", "--gamma", "--invert-inputs", "--n-valid", "--nmc", "--output",
+    "--seed", "--sparsity", "--train-limit",
 ]
 
 
-@pytest.mark.parametrize("command, own", [
-    ("train", []), ("grid", []), ("bench", ["--algos"]), ("verify", ["--suite"]),
+@pytest.mark.parametrize("command, flags", [
+    ("train", RUN_FLAGS + ["--algo", "--lr", "--log", "--checkpoint"]),
+    ("grid", RUN_FLAGS + ["--algo", "--lr-grid", "--log"]),
+    ("bench", RUN_FLAGS + ["--algos", "--lr"]),
+    ("verify", ["--config", "--suite"]),
 ])
-def test_each_command_has_the_shared_flags_and_its_own(command, own):
+def test_each_command_has_exactly_the_flags_it_reads(command, flags):
     parser = _build_parser()._subparsers._group_actions[0].choices[command]
-    flags = sorted(s for action in parser._actions for s in action.option_strings)
-    assert flags == sorted(COMMON_FLAGS + own)
+    have = sorted(s for action in parser._actions for s in action.option_strings)
+    assert have == sorted(flags + ["--help", "-h"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--lr-grid", "0.5"],
+    ["grid", "--lr", "0.1"],
+    ["grid", "--checkpoint", "x.npz"],
+    ["bench", "--algo", "qdop"],
+    ["bench", "--lr-grid", "0.5"],
+    ["bench", "--log", "x.csv"],
+    ["bench", "--checkpoint", "x.npz"],
+    ["verify", "--arch", "8,6,8"],
+], ids=" ".join)
+def test_a_flag_the_command_does_not_read_is_rejected(tmp_path, monkeypatch, capsys, argv):
+    # "grid --lr" is not taken as an abbreviation of --lr-grid, nor "bench --algo" of --algos
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "bench"])
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_config_builds_a_run_under_each_run_command(path, command):
+    # one file serves several commands: each keeps the keys it reads and checks the rest
+    assert len(CONFIGS) == 6
+    opt = _merge_options(_build_parser().parse_args([command, "--config", str(path)]))
+    config = _run_config(opt)
+    assert set(opt) == {dest for dest, o in OPTIONS.items() if command in o.commands}
+    for key, raw in parse_config_file(path).items():
+        dest = key.replace("-", "_")
+        if dest in opt:
+            assert opt[dest] == OPTIONS[dest].conv(raw)
+            if hasattr(config, dest):
+                assert getattr(config, dest) == opt[dest]
+
+
+def test_invert_inputs_flag_inverts_the_loaded_features(tmp_path):
+    def load(*extra):
+        args = _build_parser().parse_args(run_args("train", *extra))
+        return _load_dataset(_merge_options(args))
+
+    plain, inverted = load(), load("--invert-inputs")
+    assert np.array_equal(inverted.features, invert_features(plain).features)
+    assert np.array_equal(inverted.train_idx, plain.train_idx)
+    assert np.array_equal(inverted.valid_idx, plain.valid_idx)
+    # training on the flag equals training on the pre-inverted data
+    flag_log, pre_log = tmp_path / "flag.csv", tmp_path / "pre.csv"
+    assert main(run_args("train", "--invert-inputs", "--log", str(flag_log))) == 0
+    run_training(invert_features(plain),
+                 RunConfig(arch=[8, 6, 8], output="gaussian", algo="qdop", lr=0.05, epochs=2,
+                           batch_size=16, seed=3, log=str(pre_log)))
+    assert len(read_rows(flag_log)) == 3
+    logs_equal_modulo_wall(flag_log, pre_log)
+
+
+def test_bench_times_inverted_inputs(monkeypatch, capsys):
+    seen = []
+
+    def record(ds, *args):
+        seen.append(ds.features)
+
+    monkeypatch.setattr("qdgrad.harness._epoch", record)
+    assert main(run_args("bench", "--algos", "sgd", "--invert-inputs")) == 0
+    expected = invert_features(generate_eeg(64, n_channels=8, seed=3, n_valid=16)).features
+    assert len(seen) == 3
+    for features in seen:
+        assert np.array_equal(features, expected)
 
 
 def test_config_file_supplies_options(tmp_path):
@@ -253,7 +330,7 @@ def test_config_file_supplies_options(tmp_path):
     log_a = tmp_path / "a.csv"
     log_b = tmp_path / "b.csv"
     assert main(["train", "--config", str(cfg), "--log", str(log_a)]) == 0
-    assert main(eeg_args(tmp_path, "--log", str(log_b))) == 0
+    assert main(run_args("train", "--log", str(log_b))) == 0
     logs_equal_modulo_wall(log_a, log_b)
 
 

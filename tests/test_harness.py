@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qdgrad import harness
-from qdgrad.data import Dataset, invert_features
+from qdgrad.data import Dataset
 from qdgrad.harness import (
     DEFAULT_ETA_GRID,
     LOG_COLUMNS,
@@ -123,16 +123,6 @@ def test_reproducible_logs_bit_identical_modulo_wall(tmp_path, subset_of):
     a = run_training(ds, cfg)
     b = run_training(ds, cfg)
     assert len(a.rows) == len(b.rows)
-    for ra, rb in zip(a.rows, b.rows):
-        assert rows_equal_modulo_wall(ra, rb)
-
-
-def test_invert_inputs_flag_equals_pretransformed_data(subset_of):
-    ds = subset_of(300, 50)
-    cfg = small_config(epochs=1, invert_inputs=True, seed=3)
-    a = run_training(ds, cfg)
-    pre = invert_features(ds)
-    b = run_training(pre, small_config(epochs=1, seed=3))
     for ra, rb in zip(a.rows, b.rows):
         assert rows_equal_modulo_wall(ra, rb)
 
