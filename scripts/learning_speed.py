@@ -10,10 +10,11 @@ tracked one, so run it on purpose, from the repository root:
 
     PYTHONPATH=src python3 scripts/learning_speed.py
 
-The last digits depend on the BLAS build and thread count, which the
-report's second line records.
+The last digits depend on the BLAS build, thread count and CPU core,
+which the report's second line records.
 """
 
+import ctypes
 import importlib.util
 import math
 import os
@@ -35,15 +36,32 @@ ETAS = [1e-4, 1e-3, 1e-2, 1e-1, 1e0]
 SGD_EPOCHS_CAP = 24
 
 
+def _blas_core():
+    """The CPU core whose kernels numpy's bundled OpenBLAS picked at runtime, or "unknown".
+
+    A DYNAMIC_ARCH build chooses its kernels, and so the last bits, by CPU.
+    """
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def environment_line():
-    """numpy, BLAS and the BLAS thread count, on which a report's last digits depend."""
+    """numpy, BLAS, the BLAS thread count and core, on which a report's last digits depend."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):
         blas = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))
-    return f"environment: numpy {np.__version__}, BLAS {blas}, BLAS threads {threads}"
+    return (f"environment: numpy {np.__version__}, BLAS {blas}, BLAS threads {threads}, "
+            f"BLAS core {_blas_core()}")
 
 
 @dataclass

@@ -17,9 +17,14 @@ computed the same floats in those steps. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/step_hashes.py
 
-The last bits depend on the BLAS build and thread count, so the thread
-count is pinned to the usable CPUs before numpy starts, as the benchmark
-does, and the first line records the environment.
+The last bits depend on the BLAS build, thread count and CPU core, so the
+thread count is pinned to the usable CPUs before numpy starts, as the
+benchmark does, and the first line records the environment.
+tests/step_hashes.txt holds the expected output, which
+tests/test_step_hashes.py compares line by line. A change that moves
+floats on purpose regenerates it:
+
+    PYTHONPATH=src python3 scripts/step_hashes.py > tests/step_hashes.txt
 """
 
 import hashlib

@@ -211,7 +211,7 @@ def cmd_grid(opt) -> int:
 def cmd_bench(opt) -> int:
     ds = _load_dataset(opt)
     try:
-        res = benchmark(ds, _run_config(opt), algos=opt["algos"], epochs=max(3, opt["epochs"]))
+        res = benchmark(ds, _run_config(opt), algos=opt["algos"])
     except DivergenceError as e:
         print(f"qdgrad: {e}", file=sys.stderr)
         return 1

@@ -30,6 +30,7 @@ LOG_COLUMNS = ("epoch", "train_nll", "train_err", "valid_nll", "valid_err",
                "wall_s", "diverged")
 
 EVAL_CHUNK = 1024
+NAN_METRICS = (math.nan,) * 4  # train_nll, train_err, valid_nll, valid_err of a diverged epoch
 
 
 @dataclass
@@ -38,8 +39,9 @@ class RunConfig:
 
     A transform of the data, such as inverting the inputs, is applied to the
     Dataset before it is passed in. grid_search runs it once per step-size,
-    each with its own log and no checkpoint; benchmark runs it once per
-    algorithm and writes neither output.
+    each with its own log and no checkpoint, and needs at least 1 epoch;
+    benchmark runs it once per algorithm, times max(3, epochs) epochs and
+    writes neither output.
     """
 
     arch: list
@@ -58,16 +60,13 @@ class RunConfig:
     log: str | None = None
     checkpoint: str | None = None
 
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(self.algo, self.lr, self.gamma, self.epsilon, self.nmc)
-
 
 class RunConfigError(ValueError):
     """The run's configuration cannot be built, for instance for its dataset."""
 
 
 def _open_output(path, mode="w"):
-    """path, created or truncated, open for writing; a RunConfigError naming it if it cannot be."""
+    """path open in mode ("w" truncates it); a RunConfigError naming it if it cannot be."""
     try:
         return open(path, mode)
     except OSError as e:
@@ -159,88 +158,87 @@ def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
     return loss_sum / len(idx), err_sum / len(idx)
 
 
-def _build(ds: Dataset, config: RunConfig):
-    """Network, output model, and optimizer state for a run, deterministically.
+class Run:
+    """One run's network, output model, optimizer state and rng, built deterministically.
 
-    Every ValueError raised here is a configuration error and surfaces as a
-    RunConfigError.
+    It keeps the dataset and the batch size, and epoch() takes one pass of
+    minibatch steps. Every ValueError raised while it is built is a
+    configuration error and surfaces as a RunConfigError.
     """
-    try:
-        arch = [int(s) for s in config.arch]
-        if arch[0] != ds.n_features:
-            raise ValueError(f"arch input width {arch[0]} != dataset {ds.n_features}")
-        if arch[-1] != ds.n_outputs:
-            raise ValueError(f"arch output width {arch[-1]} != dataset {ds.n_outputs}")
-        if config.output == "categorical" and ds.target_kind != "class":
-            raise ValueError("categorical output needs class targets")
-        if config.output != "categorical" and ds.target_kind == "class":
-            raise ValueError("class targets need a categorical output")
-        if config.batch_size < 1:
-            raise ValueError(f"batch size must be at least 1, got {config.batch_size}")
-        if config.epochs < 0:
-            raise ValueError(f"epochs must be at least 0, got {config.epochs}")
-        rng = np.random.default_rng(config.seed)
-        masks = None
-        if config.sparsity is not None:
-            masks = make_sparse_layout(arch, config.sparsity, rng)
-        net = Network(arch, config.activation, masks=masks, dropout=config.dropout)
-        net.init_params(rng)
-        model = make_output_model(config.output, arch[-1])
-        cfg = config.optimizer_config()
-        state = OptimizerState(net, cfg)
-    except ValueError as e:
-        raise RunConfigError(str(e)) from e
-    return net, model, state, cfg, rng
 
+    def __init__(self, ds: Dataset, config: RunConfig):
+        try:
+            arch = [int(s) for s in config.arch]
+            if arch[0] != ds.n_features:
+                raise ValueError(f"arch input width {arch[0]} != dataset {ds.n_features}")
+            if arch[-1] != ds.n_outputs:
+                raise ValueError(f"arch output width {arch[-1]} != dataset {ds.n_outputs}")
+            if config.output == "categorical" and ds.target_kind != "class":
+                raise ValueError("categorical output needs class targets")
+            if config.output != "categorical" and ds.target_kind == "class":
+                raise ValueError("class targets need a categorical output")
+            if config.batch_size < 1:
+                raise ValueError(f"batch size must be at least 1, got {config.batch_size}")
+            if config.epochs < 0:
+                raise ValueError(f"epochs must be at least 0, got {config.epochs}")
+            self.rng = np.random.default_rng(config.seed)
+            masks = None
+            if config.sparsity is not None:
+                masks = make_sparse_layout(arch, config.sparsity, self.rng)
+            self.net = Network(arch, config.activation, masks=masks, dropout=config.dropout)
+            self.net.init_params(self.rng)
+            self.model = make_output_model(config.output, arch[-1])
+            self.cfg = OptimizerConfig(config.algo, config.lr, config.gamma, config.epsilon,
+                                       config.nmc)
+            self.state = OptimizerState(self.net, self.cfg)
+        except ValueError as e:
+            raise RunConfigError(str(e)) from e
+        self.ds = ds
+        self.batch_size = config.batch_size
 
-def _epoch(ds: Dataset, batch_size, net, model, state, cfg, rng) -> None:
-    """One pass of minibatch steps over the training rows, in a shuffled order."""
-    for batch in minibatches(ds, batch_size, rng):
-        optimizer_step(net, model, ds.features[batch], ds.target_batch(batch),
-                       state, cfg, rng)
+    def epoch(self) -> None:
+        """One pass of minibatch steps over the training rows, in a shuffled order."""
+        for batch in minibatches(self.ds, self.batch_size, self.rng):
+            optimizer_step(self.net, self.model, self.ds.features[batch],
+                           self.ds.target_batch(batch), self.state, self.cfg, self.rng)
 
 
 def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
     """Epochs of minibatch steps on ds as given, with per-epoch evaluation rows.
 
-    The epoch-0 row reports metrics at initialization; epoch k reports them
-    after k full passes. A divergent step marks its epoch and every
-    remaining one with the diverged flag and NaN metrics, then stops
-    training. The final checkpoint always holds finite parameters. An
-    output path that cannot be written raises RunConfigError before the
-    first step; the checkpoint's file is created then.
+    Epoch 0 only evaluates: its row reports the metrics at initialization,
+    timed by wall_s. Epoch k reports them after k full passes, and wall_s
+    times its steps. A divergent step marks its epoch and every remaining
+    one with the diverged flag and NaN metrics (and NaN wall_s after it),
+    then stops training. The final checkpoint always holds finite
+    parameters. An output path that cannot be written raises RunConfigError
+    before the first step; an existing checkpoint is left as it is until
+    the run ends.
     """
-    net, model, state, cfg, rng = _build(ds, config)
+    run = Run(ds, config)
     if config.checkpoint is not None:
-        _open_output(config.checkpoint, "wb").close()
+        _open_output(config.checkpoint, "ab").close()  # checked, not truncated
     log = TrainLog(config.log)
     try:
-        if config.epochs > 0:
-            t0 = time.perf_counter()
-            tr = eval_metrics(net, model, ds, ds.train_idx)
-            va = eval_metrics(net, model, ds, ds.valid_idx)
-            log.append(LogRow(0, tr[0], tr[1], va[0], va[1],
-                              time.perf_counter() - t0, 0))
-        diverged_at = None
-        for epoch in range(1, config.epochs + 1):
-            if diverged_at is not None:
-                log.append(LogRow(epoch, math.nan, math.nan, math.nan, math.nan,
-                                  math.nan, 1))
+        diverged = False
+        for epoch in range(config.epochs + 1 if config.epochs else 0):
+            if diverged:
+                log.append(LogRow(epoch, *NAN_METRICS, math.nan, 1))
                 continue
             t0 = time.perf_counter()
             try:
-                _epoch(ds, config.batch_size, net, model, state, cfg, rng)
+                if epoch:
+                    run.epoch()
             except DivergenceError:
-                diverged_at = epoch
-                log.append(LogRow(epoch, math.nan, math.nan, math.nan, math.nan,
-                                  time.perf_counter() - t0, 1))
+                diverged = True
+                log.append(LogRow(epoch, *NAN_METRICS, time.perf_counter() - t0, 1))
                 continue
-            wall = time.perf_counter() - t0
-            tr = eval_metrics(net, model, ds, ds.train_idx)
-            va = eval_metrics(net, model, ds, ds.valid_idx)
-            log.append(LogRow(epoch, tr[0], tr[1], va[0], va[1], wall, 0))
+            steps_s = time.perf_counter() - t0
+            tr = eval_metrics(run.net, run.model, ds, ds.train_idx)
+            va = eval_metrics(run.net, run.model, ds, ds.valid_idx)
+            log.append(LogRow(epoch, *tr, *va, steps_s if epoch else time.perf_counter() - t0, 0))
         if config.checkpoint is not None:
-            save_checkpoint(config.checkpoint, net, model)
+            save_checkpoint(config.checkpoint, run.net, run.model)
     finally:
         log.close()
     return log
@@ -284,24 +282,34 @@ def grid_search(ds: Dataset, config: RunConfig, etas) -> GridResult:
 
     Duplicate step-sizes are collapsed. Runs that diverge are kept in the
     table but excluded from the selection. Without a validation split the
-    final train NLL is used instead.
+    final train NLL is used instead. An empty grid, a step-size that
+    OptimizerConfig refuses, or 0 epochs raises RunConfigError before the
+    first run. Each run gets its own log, config.log with
+    ".eta<step-size>.csv" appended, and no checkpoint.
     """
     etas = sorted(set(float(e) for e in etas))
     if not etas:
         raise RunConfigError("grid needs at least one step-size")
+    if config.epochs == 0:  # a negative count is Run's error
+        raise RunConfigError("grid needs at least 1 epoch")
+    try:
+        for eta in etas:
+            OptimizerConfig(config.algo, eta)
+    except ValueError as e:
+        raise RunConfigError(str(e)) from e
     entries = []
     for eta in etas:
         sub = replace(config, lr=eta,
                       log=f"{config.log}.eta{eta:g}.csv" if config.log else None,
                       checkpoint=None)
         log = run_training(ds, sub)
-        if log.diverged or not log.rows:
+        if log.diverged:
             score = math.nan
         elif len(ds.valid_idx):
             score = log.final.valid_nll
         else:
             score = log.final.train_nll
-        entries.append(GridEntry(eta, log, log.diverged or not log.rows, score))
+        entries.append(GridEntry(eta, log, log.diverged, score))
     scored = [e for e in entries if not e.diverged and math.isfinite(e.final_valid_nll)]
     best = min(scored, key=lambda e: e.final_valid_nll) if scored else None
     boundary = best is not None and len(etas) > 1 and best.eta in (etas[0], etas[-1])
@@ -325,9 +333,10 @@ class BenchResult:
         return lines
 
 
-def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResult:
+def benchmark(ds: Dataset, config: RunConfig, algos=None) -> BenchResult:
     """Median wall time of the minibatch step loop per epoch, per algorithm.
 
+    It times max(3, config.epochs) epochs, so that the median is stable.
     Nothing is evaluated, and config's log and checkpoint are not written:
     only forward, backprop, metric work, and the parameter update are
     timed. Every algorithm's run is built first, and their epochs are then
@@ -336,18 +345,16 @@ def benchmark(ds: Dataset, config: RunConfig, algos=None, epochs=3) -> BenchResu
     A diverging step ends the benchmark with a DivergenceError that names
     the algorithm and the non-finite quantity.
     """
-    if epochs < 3:
-        raise ValueError("need at least 3 epochs for a stable median")
     algos = list(algos) if algos is not None else list(ALGOS)
     if "sgd" not in algos:
         algos.insert(0, "sgd")
-    runs = {algo: _build(ds, replace(config, algo=algo)) for algo in algos}
+    runs = {algo: Run(ds, replace(config, algo=algo)) for algo in algos}
     times = {algo: [] for algo in algos}
-    for _ in range(epochs):
-        for algo, (net, model, state, cfg, rng) in runs.items():
+    for _ in range(max(3, config.epochs)):
+        for algo, run in runs.items():
             t0 = time.perf_counter()
             try:
-                _epoch(ds, config.batch_size, net, model, state, cfg, rng)
+                run.epoch()
             except DivergenceError as e:
                 raise DivergenceError(f"{algo} diverged: {e}") from e
             times[algo].append(time.perf_counter() - t0)

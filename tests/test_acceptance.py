@@ -116,9 +116,9 @@ def test_c6_quadratic_pathology():
 def test_c7_overhead_ratio(subset_of):
     ds = subset_of(5000)
     config = RunConfig(arch=[784, 800, 800, 10], activation="sigmoid",
-                       output="categorical", lr=0.01, batch_size=500, seed=0)
+                       output="categorical", lr=0.01, epochs=3, batch_size=500, seed=0)
     t0 = time.perf_counter()
-    res = benchmark(ds, config, algos=["sgd", "qdop", "qdnat"], epochs=3)
+    res = benchmark(ds, config, algos=["sgd", "qdop", "qdnat"])
     elapsed = time.perf_counter() - t0
     qdop, qdnat = res.ratios["qdop"], res.ratios["qdnat"]
     ok = 1.3 <= qdop <= 3.0 and qdnat > qdop and elapsed < 600.0

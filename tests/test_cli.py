@@ -212,6 +212,34 @@ def test_an_unwritable_output_path_is_a_usage_error_before_any_step(tmp_path, mo
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 
 
+def test_a_usage_error_leaves_an_existing_checkpoint_as_it_is(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where no directory "missing" exists
+    old = tmp_path / "old.npz"
+    old.write_bytes(b"an earlier run's checkpoint")
+    assert main(run_args("train", "--checkpoint", "old.npz", "--log", "missing/l.csv")) == 2
+    assert capsys.readouterr().err == "qdgrad: error: missing/l.csv: No such file or directory\n"
+    assert old.read_bytes() == b"an earlier run's checkpoint"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--lr-grid", "0.01,inf"], "eta must be a positive finite step-size"),
+    (["--lr-grid", "0,0.01"], "eta must be a positive finite step-size"),
+    (["--lr-grid", "0.01", "--epochs", "0"], "grid needs at least 1 epoch"),
+], ids=["inf", "zero", "no-epochs"])
+def test_a_bad_grid_is_a_usage_error_before_the_first_run(tmp_path, monkeypatch, capsys,
+                                                          extra, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the grid was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qdgrad.harness.run_training", no_run)
+    assert main(run_args("grid", "--log", "g", *extra)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"qdgrad: error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_is_written_to_the_path_given(tmp_path, monkeypatch, capsys):
     # no ".npz" is added, so the file printed is the file written
     monkeypatch.chdir(tmp_path)
@@ -301,10 +329,10 @@ def test_invert_inputs_flag_inverts_the_loaded_features(tmp_path):
 def test_bench_times_inverted_inputs(monkeypatch, capsys):
     seen = []
 
-    def record(ds, *args):
-        seen.append(ds.features)
+    def record(run):
+        seen.append(run.ds.features)
 
-    monkeypatch.setattr("qdgrad.harness._epoch", record)
+    monkeypatch.setattr("qdgrad.harness.Run.epoch", record)
     assert main(run_args("bench", "--algos", "sgd", "--invert-inputs")) == 0
     expected = invert_features(generate_eeg(64, n_channels=8, seed=3, n_valid=16)).features
     assert len(seen) == 3

@@ -237,31 +237,45 @@ def test_default_eta_grid_is_powers_of_ten():
 def test_benchmark_shapes_and_sgd_ratio(subset_of):
     ds = subset_of(400)
     cfg = small_config(arch=[784, 64, 10], batch_size=200)
-    res = benchmark(ds, cfg, algos=["sgd", "qdop"], epochs=3)
+    res = benchmark(ds, cfg, algos=["sgd", "qdop"])
     assert res.ratios["sgd"] == 1.0
     assert res.medians["qdop"] > 0
     assert res.ratios["qdop"] > 1.0  # metric work cannot be free
     lines = res.summary_lines()
     assert lines[0].startswith("algo,")
-    with pytest.raises(ValueError):
-        benchmark(ds, cfg, algos=["sgd"], epochs=2)
+
+
+@pytest.mark.parametrize("epochs, timed", [(1, 3), (4, 4)])
+def test_benchmark_times_config_epochs_but_at_least_3(subset_of, monkeypatch, epochs, timed):
+    timed_algos = []
+    epoch = harness.Run.epoch
+
+    def traced_epoch(run):
+        timed_algos.append(run.cfg.algo)
+        epoch(run)
+
+    monkeypatch.setattr(harness.Run, "epoch", traced_epoch)
+    res = benchmark(subset_of(200), small_config(arch=[784, 8, 10], epochs=epochs),
+                    algos=["sgd", "qdop"])
+    assert timed_algos == ["sgd", "qdop"] * timed
+    assert set(res.medians) == {"sgd", "qdop"}
 
 
 def test_benchmark_builds_every_run_then_times_epochs_round_robin(subset_of, monkeypatch):
     events = []
-    build, epoch = harness._build, harness._epoch
+    init, epoch = harness.Run.__init__, harness.Run.epoch
 
-    def traced_build(ds, config):
+    def traced_init(run, ds, config):
         events.append(("build", config.algo))
-        return build(ds, config)
+        init(run, ds, config)
 
-    def traced_epoch(ds, batch_size, net, model, state, cfg, rng):
-        events.append(("epoch", cfg.algo))
-        epoch(ds, batch_size, net, model, state, cfg, rng)
+    def traced_epoch(run):
+        events.append(("epoch", run.cfg.algo))
+        epoch(run)
 
-    monkeypatch.setattr(harness, "_build", traced_build)
-    monkeypatch.setattr(harness, "_epoch", traced_epoch)
-    benchmark(subset_of(200), small_config(arch=[784, 8, 10]), algos=["qdop", "dop"], epochs=3)
+    monkeypatch.setattr(harness.Run, "__init__", traced_init)
+    monkeypatch.setattr(harness.Run, "epoch", traced_epoch)
+    benchmark(subset_of(200), small_config(arch=[784, 8, 10], epochs=3), algos=["qdop", "dop"])
     algos = ["sgd", "qdop", "dop"]
     assert events == [("build", a) for a in algos] + [("epoch", a) for a in algos] * 3
 
