@@ -10,10 +10,13 @@ net.scratch after the steps and after the evaluation. Then, on four small
 output variances; masked tanh with dropout; dense sigmoid with dropout and
 a Bernoulli head), it takes 4 steps of every algorithm, the Monte Carlo
 ones at n_mc 1 and 3, and prints the same three hashes and how many of the
-steps diverged. Last come dop and qdop at epsilon = 0, on a dense tanh net
+steps diverged. Then come dop and qdop at epsilon = 0, on a dense tanh net
 at gamma 0.01 and 1 and on the dense relu net, where a zero divisor in the
-solve makes a step diverge. Two trees that print the same hash lines
-computed the same floats in those steps. Run from the repository root:
+solve makes a step diverge. Last, on each small net, a forward without a
+scratch keeps its trace, in train mode and in eval mode, and backprop runs
+3 times on each kept trace; the line hashes the 3 gradients of each. Two
+trees that print the same hash lines computed the same floats in those
+steps and passes. Run from the repository root:
 
     PYTHONPATH=src python3 scripts/step_hashes.py
 
@@ -58,6 +61,7 @@ EPSILON_ZERO_RUNS = (  # net, algo, gamma
     (SMALL_NETS[0], "qdop", 0.01),
 )
 SMALL_BATCH = 10
+KEPT_BACKPROPS = 3  # one more than the sets of deltas a training pass holds
 
 
 def _pin_threads():
@@ -78,19 +82,42 @@ def _digest(a):
     return "-" if a is None else hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
-def _small_run(spec, algo, n_mc=1, **cfg):
-    """Hashes of theta, diag and row after SMALL_STEPS steps on one small net."""
-    import numpy as np
+def _small_net(spec, rng):
+    """One small net, its masks and parameters drawn from rng."""
+    from qdgrad import network
 
-    from qdgrad import network, optim, outputs
-
-    name, activation, fan_in, dropout, output = spec
-    rng = np.random.default_rng(SEED)
+    _, activation, fan_in, dropout, _ = spec
     masks = None
     if fan_in is not None:
         masks = network.make_sparse_layout(SMALL_SIZES, fan_in, rng)
     net = network.Network(SMALL_SIZES, activation, masks=masks, dropout=dropout)
     net.init_params(rng)
+    return net
+
+
+def _kept_backprops(spec):
+    """Hashes of KEPT_BACKPROPS gradients on a kept train-mode and a kept eval-mode trace."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+    net = _small_net(spec, rng)
+    x = rng.standard_normal((SMALL_BATCH, SMALL_SIZES[0]))
+    seeds = rng.standard_normal((KEPT_BACKPROPS, SMALL_BATCH, SMALL_SIZES[-1]))
+    hashes = []
+    for trace in (net.forward(x, mode="train", rng=rng), net.forward(x, mode="eval")):
+        hashes.append(_digest(np.stack([net.backprop(trace, seed) for seed in seeds])))
+    return "backprop train / eval " + " / ".join(hashes)
+
+
+def _small_run(spec, algo, n_mc=1, **cfg):
+    """Hashes of theta, diag and row after SMALL_STEPS steps on one small net."""
+    import numpy as np
+
+    from qdgrad import optim, outputs
+
+    output = spec[4]
+    rng = np.random.default_rng(SEED)
+    net = _small_net(spec, rng)
     model = outputs.make_output_model(output, SMALL_SIZES[-1])
     cfg = optim.OptimizerConfig(algo, 0.1, n_mc=n_mc, **cfg)
     state = optim.OptimizerState(net, cfg)
@@ -124,6 +151,8 @@ def _small_runs():
     for spec, algo, gamma in EPSILON_ZERO_RUNS:
         print(f"{spec[0]}-{algo}-epsilon0-gamma{gamma}: "
               f"{_small_run(spec, algo, gamma=gamma, epsilon=0.0)}")
+    for spec in SMALL_NETS:
+        print(f"{spec[0]}-kept-traces: {_kept_backprops(spec)}")
 
 
 def main() -> int:

@@ -8,6 +8,7 @@ reconstruction target tracks the inversion of the features for free).
 
 import csv
 import io
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -185,7 +186,7 @@ def read_text(path) -> str:
 
 
 def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
-    """Rectangular numeric CSV; features min-max normalized per column.
+    """Rectangular numeric CSV of finite cells; features min-max normalized per column.
 
     target_columns picks out raw (unnormalized) regression targets by index;
     with none given the dataset is an autoencoding task over all columns.
@@ -198,9 +199,12 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
         if has_header and line_no == 1:
             continue
         try:
-            rows.append([float(cell) for cell in row])
+            values = [float(cell) for cell in row]
         except ValueError:
             raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{line_no}: non-finite cell")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])

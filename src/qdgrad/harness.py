@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -131,10 +132,16 @@ class TrainLog:
             header = fh.readline().strip()
             if header != ",".join(LOG_COLUMNS):
                 raise ValueError(f"{path}: unexpected log header")
-            for line in fh:
+            for line_no, line in enumerate(fh, start=2):
                 cells = line.strip().split(",")
-                log.rows.append(LogRow(int(cells[0]), *map(float, cells[1:6]),
-                                       int(cells[6])))
+                if len(cells) != len(LOG_COLUMNS):
+                    raise ValueError(f"{path}:{line_no}: {len(cells)} cells, "
+                                     f"expected {len(LOG_COLUMNS)}")
+                try:
+                    log.rows.append(LogRow(int(cells[0]), *map(float, cells[1:6]),
+                                           int(cells[6])))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: non-numeric cell") from None
         return log
 
 
@@ -169,6 +176,8 @@ class Run:
     def __init__(self, ds: Dataset, config: RunConfig):
         try:
             arch = [int(s) for s in config.arch]
+            if len(arch) < 2:
+                raise ValueError(f"arch needs at least input and output sizes, got {arch}")
             if arch[0] != ds.n_features:
                 raise ValueError(f"arch input width {arch[0]} != dataset {ds.n_features}")
             if arch[-1] != ds.n_outputs:
@@ -212,13 +221,19 @@ def run_training(ds: Dataset, config: RunConfig) -> TrainLog:
     one with the diverged flag and NaN metrics (and NaN wall_s after it),
     then stops training. The final checkpoint always holds finite
     parameters. An output path that cannot be written raises RunConfigError
-    before the first step; an existing checkpoint is left as it is until
-    the run ends.
+    before the first step, and leaves no checkpoint that the run created;
+    an existing checkpoint is left as it is until the run ends.
     """
     run = Run(ds, config)
+    created = config.checkpoint is not None and not os.path.lexists(config.checkpoint)
     if config.checkpoint is not None:
         _open_output(config.checkpoint, "ab").close()  # checked, not truncated
-    log = TrainLog(config.log)
+    try:
+        log = TrainLog(config.log)
+    except RunConfigError:
+        if created:
+            os.remove(config.checkpoint)
+        raise
     try:
         diverged = False
         for epoch in range(config.epochs + 1 if config.epochs else 0):

@@ -36,20 +36,22 @@ of entries.
 A pass stores no hidden pre-activation: a hidden layer's a @ P.T is
 written where its activation goes, which is applied in place. Every
 batch-sized array of a pass (layer inputs, activations, the output,
-dropout masks, backprop products, temporaries) is a new array unless
-forward is given a Scratch: then the pass carves them as views of its one
-flat buffer, with the same shapes, memory orders and floats. The trace
-records where its arrays came from, and backprop_deltas, grad_from_deltas
-and qd_batch_terms carve theirs there too. Each network owns one Scratch,
-net.scratch, which the training step and evaluation share. A forward on a
-scratch starts a pass: it resets the scratch to the size its batch and
-mode need and overwrites the previous pass, whose trace then raises
-StaleTraceError in those readers. A training pass holds at most two sets
-of backprop deltas at once, the gradient's and one metric term's. A caller
-that keeps a trace passes no scratch.
+dropout masks, backprop products, temporaries) is carved as a view of the
+one flat buffer of a Scratch. The trace records its scratch, and
+backprop_deltas, grad_from_deltas and qd_batch_terms carve theirs there
+too. A forward resets its scratch to the size its batch and mode need,
+which overwrites the previous pass: that pass's trace then raises
+StaleTraceError in those readers. Each network owns one Scratch,
+net.scratch, which the training step and evaluation share. A forward
+given no scratch makes one that only its trace holds, sized for a
+training pass, so the trace is kept: no later pass overwrites it, and it
+can be backpropped whatever its mode. A training pass and a kept trace
+hold at most two sets of backprop deltas at once, the gradient's and one
+metric term's; backprop drops the deltas it carves, so it can be called
+any number of times.
 """
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,21 +149,6 @@ class Scratch:
             self.top = top
 
 
-class _NewArrays:
-    """Stands in for a Scratch when the caller passes none: every array is new."""
-
-    passes = 0  # never reset, so its traces never go stale
-
-    def take(self, rows, cols):
-        return np.empty((rows, cols))
-
-    def released(self):
-        return nullcontext()
-
-
-_NEW_ARRAYS = _NewArrays()
-
-
 def _matmul(P, x, out, transpose=False):
     """P @ x, or P.T @ x with transpose, for a dense or CSR P, written to the C-order out.
 
@@ -188,7 +175,7 @@ class ForwardTrace:
     masks: list  # dropout masks with entries in {0, 1/(1-p)}, or None
     output: np.ndarray  # (B, K) pre-activation of the linear output layer
     version: int
-    scratch: object  # the Scratch (or _NEW_ARRAYS) the arrays were carved from
+    scratch: Scratch  # the arrays are its views, valid until its next reset
     scratch_pass: int  # scratch.passes when they were
 
     def check_pass(self):
@@ -392,10 +379,12 @@ class Network:
         return floats * b
 
     def forward(self, x, mode="train", rng=None, scratch=None) -> ForwardTrace:
-        """Trace of a forward pass; it and the passes over it carve from scratch if given.
+        """Trace of a forward pass; it and the passes over it carve from scratch.
 
-        A scratch is reset first, sized for the batch and mode, which
-        overwrites every array of its previous pass.
+        A given scratch is reset first, sized for the batch and mode, which
+        overwrites every array of its previous pass. Without one, the trace
+        is kept: it gets a new Scratch of its own, sized for a training pass
+        of the batch so that it can be backpropped in either mode.
         """
         if mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
@@ -408,7 +397,10 @@ class Network:
         if drop > 0.0 and rng is None:
             raise ValueError("dropout in train mode needs an rng")
         b = x.shape[0]
-        scratch = _NEW_ARRAYS if scratch is None else scratch.reset(self._pass_floats(b, mode))
+        if scratch is None:
+            scratch = Scratch().reset(self._pass_floats(b, "train"))
+        else:
+            scratch.reset(self._pass_floats(b, mode))
         a = _with_ones(b, self.sizes[0], scratch)
         a[:, 1:] = x
         inputs, hidden, masks = [a], [], []
@@ -481,9 +473,11 @@ class Network:
         """Gradient of <output_grad, y> w.r.t. the flat parameters.
 
         The result is summed over the batch; divide by the batch size for a
-        mean.
+        mean. It is a new array: the deltas it carves from the trace's
+        scratch are dropped on return.
         """
-        return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
+        with trace.scratch.released():
+            return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
     def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, out):
         """Metric terms from per-layer summed weighted squared deltas.

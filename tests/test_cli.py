@@ -221,6 +221,48 @@ def test_a_usage_error_leaves_an_existing_checkpoint_as_it_is(tmp_path, monkeypa
     assert old.read_bytes() == b"an earlier run's checkpoint"
 
 
+def test_a_usage_error_leaves_no_checkpoint_the_run_created(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where no directory "missing" exists
+    assert main(run_args("train", "--checkpoint", "new.npz", "--log", "missing/l.csv")) == 2
+    assert capsys.readouterr().err == "qdgrad: error: missing/l.csv: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "bench"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_an_empty_arch_is_a_usage_error(tmp_path, monkeypatch, capsys, command, where):
+    monkeypatch.chdir(tmp_path)
+    argv = run_args(command)
+    at = argv.index("--arch")
+    if where == "flag":
+        argv[at + 1] = ""
+    else:
+        (tmp_path / "a.cfg").write_text("arch =\n")
+        argv[at : at + 2] = ["--config", "a.cfg"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qdgrad: error: arch needs at least input and output sizes, got []\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("targets", [None, "2"], ids=["feature", "target"])
+def test_a_non_finite_csv_cell_is_a_usage_error(tmp_path, monkeypatch, capsys, cell, targets):
+    monkeypatch.chdir(tmp_path)
+    rows = [["0", "1", "2"], ["3", "4", "5"], ["6", "7", "8"], ["9", "10", "11"]]
+    rows[2][2 if targets else 0] = cell
+    (tmp_path / "d.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    argv = ["train", "--dataset", "csv", "--csv", "d.csv", "--output", "gaussian",
+            "--arch", "2,3,1" if targets else "3,3,3", "--epochs", "2", "--log", "l.csv"]
+    if targets:
+        argv += ["--csv-targets", targets]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "qdgrad: error: d.csv:3: non-finite cell\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--lr-grid", "0.01,inf"], "eta must be a positive finite step-size"),
     (["--lr-grid", "0,0.01"], "eta must be a positive finite step-size"),

@@ -83,6 +83,22 @@ def test_log_round_trip_and_monotone_epochs(tmp_path):
     assert back.rows[0].epoch == 0 and not back.diverged
 
 
+GOOD_ROW = "1,1.5,0.4,1.7,0.45,0.5,0"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,1.5,0.4,1.7,0.45,0.5", "6 cells, expected 7"),
+    (GOOD_ROW + ",0", "8 cells, expected 7"),
+    ("1,1.5,oops,1.7,0.45,0.5,0", "non-numeric cell"),
+], ids=["short", "long", "non-numeric"])
+def test_reading_a_malformed_log_row_names_the_file_and_line(tmp_path, row, message):
+    path = tmp_path / "log.csv"
+    path.write_text(",".join(LOG_COLUMNS) + "\n" + GOOD_ROW + "\n" + row + "\n")
+    with pytest.raises(ValueError) as e:
+        TrainLog.read(path)
+    assert str(e.value) == f"{path}:3: {message}"
+
+
 def test_epoch_zero_row_reports_initialization(subset_of):
     ds = subset_of(300, 100)
     log = run_training(ds, small_config(epochs=2, batch_size=50))

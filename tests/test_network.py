@@ -490,8 +490,8 @@ def dense_or_masked_nets(draw):
 @given(dense_or_masked_nets(), st.lists(st.integers(1, 5), min_size=2, max_size=2),
        st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
 def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed):
-    # two batch sizes one after the other on one scratch, each compared
-    # bit for bit with new arrays once the whole pass is done
+    # two batch sizes one after the other on net.scratch, each compared
+    # bit for bit with a kept trace once the whole pass is done
     sizes, masks, activation = net_spec
     rng = np.random.default_rng(seed)
     net = random_net(rng, sizes, activation, masks=masks, dropout=dropout)
@@ -558,16 +558,53 @@ def test_masks_reads_back_the_given_masks():
     assert Network(sizes).masks == [None, None, None]
 
 
-def test_passes_without_scratch_return_new_arrays():
+def test_a_kept_trace_owns_its_scratch():
+    # a forward without scratch= carves from a new Scratch of its own
     rng = np.random.default_rng(16)
     net = random_net(rng, [4, 5, 3], dropout=0.3)
     X = rng.standard_normal((3, 4))
     a = net.forward(X, rng=np.random.default_rng(0))
     b = net.forward(X, rng=np.random.default_rng(0))
+    assert isinstance(a.scratch, Scratch) and a.scratch is not b.scratch
+    assert a.scratch is not net.scratch and b.scratch is not net.scratch
     for name in ("inputs", "hidden", "masks"):
         for x, y in zip(getattr(a, name), getattr(b, name)):
             assert not np.shares_memory(x, y), name
     assert not np.shares_memory(a.output, b.output)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_a_kept_trace_takes_more_backprops_than_it_holds_deltas(mode, masked):
+    # 5 gradients on one kept trace, which holds two sets of deltas at
+    # once; each equals the one on a fresh trace bit for bit
+    rng = np.random.default_rng(21)
+    sizes, b = [4, 6, 5, 3], 7
+    masks = make_sparse_layout(sizes, 2, rng) if masked else None
+    net = random_net(rng, sizes, "tanh", masks=masks, dropout=0.3)
+    X = rng.standard_normal((b, sizes[0]))
+
+    def trace():
+        return net.forward(X, mode=mode, rng=np.random.default_rng(0))
+
+    kept = trace()
+    for C in rng.standard_normal((5, b, sizes[-1])):
+        np.testing.assert_array_equal(net.backprop(kept, C), net.backprop(trace(), C))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_a_third_live_set_of_deltas_overflows_a_kept_trace(mode):
+    rng = np.random.default_rng(22)
+    sizes, b = [4, 6, 5, 3], 7
+    net = random_net(rng, sizes, "tanh")
+    X, C = rng.standard_normal((b, sizes[0])), rng.standard_normal((b, sizes[-1]))
+    tr = net.forward(X, mode=mode)
+    live = [net.backprop_deltas(tr, C) for _ in range(2)]
+    with pytest.raises(RuntimeError, match="floats reset"):
+        net.backprop_deltas(tr, C)
+    for deltas in live:  # the two live sets are intact
+        for got, ref in zip(deltas, net.backprop_deltas(net.forward(X, mode=mode), C)):
+            np.testing.assert_array_equal(got, ref)
 
 
 def test_an_eval_pass_holds_only_layer_inputs_and_the_output():
@@ -608,7 +645,7 @@ def test_a_trace_of_an_earlier_scratch_pass_is_stale():
     X, C = rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
     tr = net.forward(X, scratch=net.scratch)
     deltas = net.backprop_deltas(tr, C)
-    kept = net.forward(X)  # no scratch: never stale
+    kept = net.forward(X)  # its own scratch, which no later pass resets
     net.forward(rng.standard_normal((8, 4)), mode="eval", scratch=net.scratch)
     with pytest.raises(StaleTraceError, match="scratch"):
         net.backprop_deltas(tr, C)
