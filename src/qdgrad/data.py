@@ -188,8 +188,9 @@ def read_text(path) -> str:
 def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
     """Rectangular numeric CSV of finite cells; features min-max normalized per column.
 
-    target_columns picks out raw (unnormalized) regression targets by index;
-    with none given the dataset is an autoencoding task over all columns.
+    target_columns picks out raw (unnormalized) regression targets by index:
+    a non-empty list of distinct columns that leaves at least one feature
+    column. With None the dataset is an autoencoding task over all columns.
     """
     rows = []
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
@@ -198,6 +199,8 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
             continue
         if has_header and line_no == 1:
             continue
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{line_no}: {len(row)} cells, expected {len(rows[0])}")
         try:
             values = [float(cell) for cell in row]
         except ValueError:
@@ -208,14 +211,17 @@ def load_csv(path, target_columns=None, has_header=False, n_valid=0) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged row {i + 1} ({len(row)} != {width} cells)")
     table = np.asarray(rows, dtype=float)
-    if target_columns:
+    if target_columns is not None:
         target_columns = list(target_columns)
+        if not target_columns:
+            raise ValueError(f"{path}: empty target column list")
         if any(not (0 <= c < width) for c in target_columns):
-            raise ValueError("target column index out of range")
+            raise ValueError(f"{path}: target column index out of range")
+        if len(set(target_columns)) != len(target_columns):
+            raise ValueError(f"{path}: duplicate target column in {target_columns}")
+        if len(target_columns) == width:
+            raise ValueError(f"{path}: target columns {target_columns} leave no feature column")
         feat_cols = [c for c in range(width) if c not in target_columns]
         features = _normalize_columns(table[:, feat_cols])
         targets = table[:, target_columns]

@@ -113,8 +113,8 @@ class StepSolve:
     loop's (3, n) scratch, n at least the solve's chunk width:
     max(CHUNK_FLOATS, the longest block). finite records whether the
     direction, the diagonal and the row all came out finite; a missing row
-    is finite. The solve makes no zero-divisor check here: at epsilon = 0 a
-    zero divisor makes the direction non-finite, and finite says so.
+    is finite. At epsilon = 0 a zero divisor makes the direction
+    non-finite, as in any solve, and finite says so.
     """
 
     prev: "QDMetric"
@@ -200,12 +200,12 @@ class QDMetric:
         so that one pass over the chunks also builds this metric and checks
         what it wrote.
 
-        Without _step, raises MetricError on an exactly zero divisor, which
-        happens only for an uninitialized metric with epsilon = 0: with
-        epsilon > 0 and a nonnegative diagonal no divisor is zero, and the
-        checks are skipped. A run's zero bias entry is reported before any
-        zero pair determinant in it. With _step there are no such checks;
-        a zero divisor shows as a non-finite direction in _step.finite.
+        With epsilon > 0 and a nonnegative diagonal no divisor is zero. At
+        epsilon = 0 a zero divisor (a zero bias or diagonal entry, or a zero
+        pair determinant) gives inf or NaN in its block of the result, with
+        or without _step, and warns as any numpy division does under the
+        caller's np.errstate. Raises MetricError only for a v of the wrong
+        shape and for epsilon < 0.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.layout.dim,):
@@ -218,12 +218,8 @@ class QDMetric:
         width = max(CHUNK_FLOATS, max(length for _, _, length in groups))
         buf = np.empty((3, width)) if _step is None else _step.buf
         root = _step is not None and _step.root
-        check = epsilon == 0.0 and _step is None
         for flat, count, length in groups:
             stop = flat + count * length
-            if check and np.any(self.diag[flat:stop:length] == 0.0):
-                entry = "bias" if self.quasi else "diagonal"
-                raise MetricError(f"zero {entry} entry; metric uninitialized?")
             rows = width // length  # whole blocks per chunk
             for lo in range(flat, stop, rows * length):
                 hi = min(lo + rows * length, stop)
@@ -250,8 +246,6 @@ class QDMetric:
                     np.multiply(d, d0, out=denom)
                     np.subtract(denom, np.multiply(r, r, out=tmp), out=denom)
                     np.maximum(denom, epsilon, out=denom)
-                    if check and np.any(denom[:, 1:] == 0.0):
-                        raise MetricError("zero pair determinant; metric uninitialized?")
                     denom[:, 0] = 1.0
                     np.multiply(d0, b, out=tmp)
                     np.multiply(r, b[:, :1], out=w)

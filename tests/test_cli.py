@@ -156,6 +156,9 @@ def test_config_errors_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
     assert capsys.readouterr().err == f"qdgrad: error: {message}\n"
 
 
+CSV = ["--dataset", "csv", "--csv", "d.csv", "--n-valid", "1"]  # 4 rows of 3 columns
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["verify"], "suite = nope\n",
      "unknown suite 'nope'; choose from fisher-consistency, gradcheck, invariance, "
@@ -179,12 +182,22 @@ def test_config_errors_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
      "bin.csv: not UTF-8 text at byte 0"),
     pytest.param(["train"], b"#" * 9000 + b"\n\xff", "bad.cfg: not UTF-8 text at byte 9001",
                  id="non-UTF-8-byte-past-the-first-read"),
+    pytest.param([*CSV, "--csv-targets", "0,1,2", "--arch", "0,2,3"], None,
+                 "d.csv: target columns [0, 1, 2] leave no feature column", id="targets-every-column"),
+    pytest.param([*CSV, "--csv-targets", "1,1", "--arch", "2,2,2"], None,
+                 "d.csv: duplicate target column in [1, 1]", id="duplicate-targets"),
+    pytest.param([*CSV, "--csv-targets", "", "--arch", "3,2,3"], None,
+                 "d.csv: empty target column list", id="empty-targets"),
+    pytest.param(["--dataset", "csv", "--csv", "r.csv", "--csv-header", "--arch", "3,2,3"],
+                 None, "r.csv:4: 2 cells, expected 3", id="ragged-row-after-a-blank-line"),
 ])
 def test_dataset_and_suite_errors_are_usage_errors(tmp_path, monkeypatch, capsys, argv, config,
                                                    message):
     # config values meet the flags' allowed values, and the dataset is built before the run
     monkeypatch.chdir(tmp_path)  # relative paths, as the messages quote them
     (tmp_path / "bin.csv").write_bytes(b"\xff\xfe1,2,3\n")  # a CSV that is not UTF-8
+    (tmp_path / "d.csv").write_text("0,1,2\n3,4,5\n6,7,8\n9,10,11\n")
+    (tmp_path / "r.csv").write_text("a,b,c\n1,2,3\n\n4,5\n")  # a 2-cell row on line 4
     if config is None:
         argv = run_args("train", *argv)
     else:

@@ -101,7 +101,7 @@ def test_csv_header_flag(tmp_path):
 def test_csv_ragged_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,2,3\n4,5\n")
-    with pytest.raises(ValueError, match="ragged"):
+    with pytest.raises(ValueError, match=r"bad\.csv:2: 2 cells, expected 3$"):
         load_csv(p)
 
 

@@ -249,15 +249,6 @@ def test_solve_diagonal_mode():
     assert m.row is None
 
 
-def test_solve_zero_bias_entry_raises():
-    m = QDMetric(BlockLayout(np.array([2])))
-    with pytest.raises(MetricError):
-        m.solve(np.array([1.0, 1.0]), 0.0)
-    md = QDMetric(BlockLayout(np.array([2])), quasi=False)
-    with pytest.raises(MetricError):
-        md.solve(np.array([1.0, 1.0]), 0.0)
-
-
 def test_solve_length_one_blocks():
     m = QDMetric(BlockLayout(np.array([1, 1])))
     m.diag[:] = [2.0, 4.0]
@@ -332,26 +323,6 @@ def test_axpy_matches_whole_array_bitwise(size):
         np.testing.assert_array_equal(out, ref)
 
 
-def test_chunked_solve_raises_both_errors_in_run_order():
-    length = 1000
-    count = 3 * ROWS_OF_1000
-    m = QDMetric(BlockLayout(np.array([length] * count)))
-    v = np.ones(m.layout.dim)
-    with pytest.raises(MetricError, match="zero bias entry"):
-        m.solve(v, 0.0)  # uninitialized
-    m.diag[:] = 1.0
-    last = m.layout.block_slice(count - 1)
-    m.diag[last.start + 1] = 0.0  # a zero pair determinant in the last chunk
-    with pytest.raises(MetricError, match="zero pair determinant"):
-        m.solve(v, 0.0)
-    # a zero bias entry in a later chunk is still reported first
-    m.diag[:] = 1.0
-    m.diag[1] = 0.0  # pair determinant of the first block, first chunk
-    m.diag[last.start] = 0.0
-    with pytest.raises(MetricError, match="zero bias entry"):
-        m.solve(v, 0.0)
-
-
 def metric_over(layout, diag, row):
     """A QDMetric over the given arrays, not copied; row None is diagonal mode."""
     m = QDMetric(layout, quasi=row is not None)
@@ -372,18 +343,12 @@ def updated(prev, diag_batch, row_batch, g):
 
 
 def solved(metric, v, epsilon, root):
-    """The whole-array solve, or None where it raises MetricError.
-
-    root solves as AdaGrad does, v / sqrt(diag + epsilon).
-    """
+    """The whole-array solve; root solves as AdaGrad does, v / sqrt(diag + epsilon)."""
     if root:
         d = np.add(metric.diag, epsilon)
         np.sqrt(d, out=d)
         return np.divide(v, d, out=d)
-    try:
-        return metric.solve(v, epsilon)
-    except MetricError:
-        return None
+    return metric.solve(v, epsilon)
 
 
 def random_pair(rng, layout, quasi):
@@ -412,9 +377,8 @@ def bits(a):
 def test_the_step_pass_computes_the_floats_of_updated_then_solve(
         runs, mode, first, gamma, epsilon, divisor, chunk, damage, seed):
     # one chunk loop averages, solves and checks; it must give the floats
-    # of the two whole-array calls, flag their non-finite values, and flag
-    # a direction where the whole-array solve raises on a zero divisor,
-    # however the blocks fall into chunks
+    # of the two whole-array calls, zero divisors included, and flag their
+    # non-finite values, however the blocks fall into chunks
     rng = np.random.default_rng(seed)
     layout = BlockLayout(np.array([length for length, count in runs for _ in range(count)]))
     quasi, root = mode == "quasi", mode == "root"
@@ -446,13 +410,41 @@ def test_the_step_pass_computes_the_floats_of_updated_then_solve(
     np.testing.assert_array_equal(bits(new.diag), bits(new_ref.diag))
     np.testing.assert_array_equal(bits(new.row), bits(new_ref.row))
     np.testing.assert_array_equal(bits(grad), bits(v / divisor))
-    if direction is None:  # a zero divisor at epsilon = 0
-        assert step.finite[0] is False
-    else:
-        np.testing.assert_array_equal(bits(w), bits(direction))
-        assert step.finite[0] == bool(np.isfinite(direction).all())
+    np.testing.assert_array_equal(bits(w), bits(direction))
+    assert step.finite[0] == bool(np.isfinite(direction).all())
     assert step.finite[1:] == [bool(np.isfinite(new_ref.diag).all()),
                                new_ref.row is None or bool(np.isfinite(new_ref.row).all())]
+
+
+@pytest.mark.parametrize("block", [0, 15, -1], ids=["first-run", "second-chunk-of-a-run", "last-run"])
+@pytest.mark.parametrize("damage", ["bias", "pair", "diagonal"])
+def test_a_zero_divisor_makes_only_its_block_non_finite(damage, block):
+    # at epsilon = 0 a standalone solve raises nothing on a zero divisor: its
+    # block of the result holds inf or NaN, and every other block holds the
+    # floats of the solve of the same metric with that block repaired
+    rng = np.random.default_rng(0)
+    layout = BlockLayout(np.array(CHUNK_EDGE_LAYOUTS["mixed"]))
+    quasi = damage != "diagonal"
+    diag, row = random_pair(rng, layout, quasi)
+    v = rng.standard_normal(layout.dim)
+    sl = layout.block_slice(block)
+    i = sl.start
+    broken = metric_over(layout, diag.copy(), None if row is None else row.copy())
+    if damage == "bias":
+        broken.diag[i] = 0.0
+    elif damage == "pair":  # Delta_0 Delta_1 - r_1^2 = 1 * 4 - 2^2
+        broken.diag[i : i + 2] = 1.0, 4.0
+        broken.row[i + 1] = 2.0
+    else:  # diagonal mode: the weight entry's divisor; each entry is a block of its own
+        sl = slice(i + 1, i + 2)
+        broken.diag[sl] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = broken.solve(v, 0.0)
+    ref = metric_over(layout, diag, row).solve(v, 0.0)
+    assert not np.isfinite(w[sl]).all()
+    other = np.ones(layout.dim, dtype=bool)
+    other[sl] = False
+    np.testing.assert_array_equal(bits(w[other]), bits(ref[other]))
 
 
 # ---------------------------------------------------------------------------
