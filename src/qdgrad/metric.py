@@ -30,12 +30,13 @@ __all__ = [
 
 # Floats per operand in one chunk of a dim-sized pass: 256 KiB, so that the
 # few operands of one chunk stay in a core's 2 MiB L2 cache. The sampled
-# products of masked layers in network.py use the same budget. There,
-# gathering a whole layer at once allocates nnz * batch floats per operand,
-# 41 MB at the first layer of the paper's sparse net at batch 200; on that
-# net (2-vCPU Xeon, batch 200) one gradient plus one QD-term call took a
-# median 72 ms with these chunks, 95 ms with 2^18 floats (about 128 units)
-# and 178 ms with whole layers.
+# products of masked layers in network.py use the same budget for their
+# gathered activation rows, in chunks of whole units. There, gathering a
+# whole layer at once allocates nnz * batch floats, 45 MB at the first
+# layer of the paper's sparse net at batch 200; on that net (2-vCPU Xeon,
+# batch 200) one gradient plus one QD-term call took a median 22 ms with
+# these chunks (14 units of that layer), 28-38 ms with 2^18 floats (119
+# units) and 58-84 ms with whole layers.
 CHUNK_FLOATS = 1 << 15
 
 

@@ -30,8 +30,11 @@ any number of seeds costs one pair of products. All three have the shape
 of P and are written straight into the layer's segment of a theta-shaped
 vector, so no per-sample gradient is ever materialized. For a masked layer
 they are these products sampled at the stored entries only:
-sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P, run over chunks
-of entries.
+sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P. The layer groups
+its units by fan-in, and a group's entries form one (units, 1+fan_in)
+array; each chunk of whole units runs as one stacked matmul of its
+gathered [1|a] rows with its units' rows of d, read in place (see
+sampled_products).
 
 A pass stores no hidden pre-activation: a hidden layer's a @ P.T is
 written where its activation goes, which is applied in place. Every
@@ -228,7 +231,8 @@ class _LayerIndex:
     dense layer reads the segment as an (n, 1+m) matrix. A masked layer
     keeps CSR structure over [b|W] (indptr, indices; column 0, the bias,
     first in every row, then the sources shifted by one in ascending
-    order), whose data is the segment itself.
+    order), whose data is the segment itself, and its units grouped by
+    fan-in for sampled_products.
     """
 
     def __init__(self, mask, n, m, offset):
@@ -247,14 +251,20 @@ class _LayerIndex:
             # each row: the bias column 0, then its sources shifted by one
             sources_before = self.indptr[:-1] - np.arange(n)
             self.indices = np.insert(cols + 1, sources_before, 0)
-            self.rows = np.repeat(np.arange(n), degrees)  # the row of each entry
+            # per fan-in: its units, then the positions in the segment and
+            # the columns of their entries, both (units, 1+fan_in)
+            self.groups = []
+            for k in np.unique(degrees):
+                units = np.flatnonzero(degrees == k)
+                entries = self.indptr[units, None] + np.arange(k)
+                self.groups.append((units, entries, self.indices[entries]))
 
     @property
     def mask(self):
         if self.dense:
             return None
         full = np.zeros((self.n, 1 + self.m), dtype=bool)
-        full[self.rows, self.indices] = True
+        full[np.repeat(np.arange(self.n), self.degrees), self.indices] = True
         return full[:, 1:]
 
     def seg(self, flat):
@@ -275,24 +285,49 @@ class _LayerIndex:
         For per-sample unit values d (B, n) and layer inputs a (B, 1+m),
         writes sum_s d[s, r_j] a[s, c_j] to out[j] and sum_s d[s, r_j]
         a[s, c_j]**2 to out_sq[j], for each stored entry j of [b|W] at
-        (r_j, c_j); either output may be None. The work runs over chunks of
-        entries, split anywhere: row j of the operands D and A is d[:, r_j]
-        and a[:, c_j], gathered into two chunk-sized buffers.
+        (r_j, c_j); either output may be None. The work runs per group of
+        units of one fan-in, over chunks of whole units: a chunk gathers
+        the rows a[:, c_j] of its entries into one (units, 1+fan_in, B)
+        buffer, reads the units' rows of d in place as a (units, B, 1)
+        stack, and one stacked matmul writes the products of all its
+        entries, straight into out where the units are consecutive.
         """
-        dT = np.ascontiguousarray(d.T)
-        aT = np.ascontiguousarray(a.T)
-        step = max(1, CHUNK_FLOATS // max(1, d.shape[0]))  # entries per chunk
-        D_buf, A_buf = np.empty((2, min(step, self.size), d.shape[0]))
-        for p0 in range(0, self.size, step):
-            p1 = min(p0 + step, self.size)
-            # mode="clip" writes to out directly; the default buffers it
-            D = np.take(dT, self.rows[p0:p1], axis=0, out=D_buf[: p1 - p0], mode="clip")
-            A = np.take(aT, self.indices[p0:p1], axis=0, out=A_buf[: p1 - p0], mode="clip")
-            if out is not None:
-                np.einsum("ij,ij->i", D, A, out=out[p0:p1])
-            if out_sq is not None:
-                A *= A
-                np.einsum("ij,ij->i", D, A, out=out_sq[p0:p1])
+        b = d.shape[0]
+        dT, aT = d.T, a.T
+        for units, entries, cols in self.groups:
+            k = cols.shape[1]  # 1 + fan_in
+            step = max(1, CHUNK_FLOATS // max(1, k * b))  # whole units per chunk
+            A_buf = np.empty((min(step, len(units)), k, b))
+            for u0 in range(0, len(units), step):
+                u1 = min(u0 + step, len(units))
+                # mode="clip" writes to out directly; the default buffers it
+                A = np.take(aT, cols[u0:u1], axis=0, out=A_buf[: u1 - u0], mode="clip")
+                D = _rows(dT, units[u0:u1])[:, :, None]
+                if out is not None:
+                    _stacked_into(out, entries[u0:u1], A, D)
+                if out_sq is not None:
+                    A *= A
+                    _stacked_into(out_sq, entries[u0:u1], A, D)
+
+
+def _rows(x, idx):
+    """x[idx] for ascending idx; a view when idx is one run of consecutive rows."""
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return x[idx[0] : idx[-1] + 1]
+    return x[idx]
+
+
+def _stacked_into(out, entries, A, D):
+    """out[entries] = (A @ D)[..., 0] for A (u, k, B), D (u, B, 1) and entries (u, k).
+
+    Entries that are one run of consecutive positions are written in
+    place, as the (u, k, 1) view of out that matmul writes to.
+    """
+    lo = entries[0, 0]
+    if entries[-1, -1] - lo + 1 == entries.size:
+        np.matmul(A, D, out=out[lo : lo + entries.size].reshape(*entries.shape, 1))
+    else:
+        out[entries] = np.matmul(A, D)[:, :, 0]
 
 
 class Network:
@@ -415,11 +450,10 @@ class Network:
                 # In h's memory order: keeping the mask, the activities and
                 # the deltas in one order spares a transpose copy in each
                 # later product and elementwise step.
-                mask = scratch.take(n, b).T
-                with scratch.released():
-                    keep = rng.random(out=scratch.take(b, n))
-                    np.greater_equal(keep, drop, out=keep)  # 1.0 where kept
-                    np.divide(keep, 1.0 - drop, out=mask)  # inverted dropout
+                # It is drawn in that order too, unit by unit.
+                mask = rng.random(out=scratch.take(n, b))
+                np.greater_equal(mask, drop, out=mask)  # 1.0 where kept
+                mask = np.divide(mask, 1.0 - drop, out=mask).T  # inverted dropout
                 np.multiply(h, mask, out=a[:, 1:])
             hidden.append(h)
             masks.append(mask)

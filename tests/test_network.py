@@ -1,6 +1,7 @@
 """Network tests against independent loop-based and finite-difference oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -474,6 +475,64 @@ def test_masked_layers_match_dense_reference(net_spec, batch, dropout, seed):
     assert none is None
 
 
+@st.composite
+def mixed_fan_in_masks(draw):
+    """An (n, m) mask of several fan-ins, with at least one bias-only unit (fan-in 0)."""
+    n, m = draw(st.integers(2, 7)), draw(st.integers(1, 6))
+    fan_in = draw(st.lists(st.integers(0, m), min_size=n, max_size=n))
+    empty, full = draw(st.permutations(range(n)))[:2]
+    fan_in[empty], fan_in[full] = 0, max(1, fan_in[full])
+    sources = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros((n, m), dtype=bool)
+    for unit, f in enumerate(fan_in):
+        mask[unit, sources.permutation(m)[:f]] = True
+    return mask
+
+
+def dot_error_bound(x, y, k):
+    """gamma_k * sum_s |x_s y_s|, in rationals.
+
+    A float dot product of length B, summed in any order, is within
+    gamma_B = B u / (1 - B u) times sum_s |x_s y_s| of the exact one, where
+    u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., eq. 3.5). Rounding each y_s first, as squaring a does, makes
+    it gamma_(B+1).
+    """
+    u = Fraction(1, 2**53)
+    gamma = k * u / (1 - k * u)
+    return gamma * sum(abs(Fraction(xs) * ys) for xs, ys in zip(x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_fan_in_masks(), st.sampled_from([1, 2, 7, 200]),
+       st.sampled_from([1, 5, 40, network.CHUNK_FLOATS]), st.integers(0, 2**32 - 1))
+@example(  # fan-ins 2, 0, 2, 3, 0: both groups of two units are split by another group
+    np.array([[1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]], dtype=bool),
+    7, 5, 3,
+)
+def test_masked_products_are_within_the_dot_product_error_bound(mask, b, chunk, seed):
+    # every sampled product against the exact sum over the batch, in
+    # rationals; the chunk budget splits the fan-in groups into chunks
+    n, m = mask.shape
+    rng = np.random.default_rng(seed)
+    idx = network._LayerIndex(mask, n, m, 0)
+    d = rng.standard_normal((b, n))
+    a = rng.standard_normal((1 + m, b)).T  # [1|a] in its scratch layout, as forward carves it
+    a[:, 0] = 1.0
+    out, out_sq = np.full(idx.size, np.nan), np.full(idx.size, np.nan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "CHUNK_FLOATS", chunk)
+        idx.sampled_products(d, a, out, out_sq)
+    rows = np.repeat(np.arange(n), idx.degrees)
+    for j, (r, c) in enumerate(zip(rows, idx.indices, strict=True)):
+        x = d[:, r]
+        y = [Fraction(v) for v in a[:, c]]
+        y_sq = [v * v for v in y]
+        for got, ys, k in ((out[j], y, b), (out_sq[j], y_sq, b + 1)):
+            exact = sum(Fraction(xs) * v for xs, v in zip(x, ys))
+            assert abs(Fraction(got) - exact) <= dot_error_bound(x, ys, k), (j, r, c)
+
+
 # ---------------------------------------------------------------------------
 # Scratch
 # ---------------------------------------------------------------------------
@@ -507,10 +566,11 @@ def test_scratch_passes_compute_the_same_floats(net_spec, batches, dropout, seed
             terms = [net.qd_batch_terms(tr, sq, terms_out(net, quasi)) for quasi in (True, False)]
             passes.append((tr, deltas, terms))
         (tr, deltas, terms), (tr_s, deltas_s, terms_s) = passes
-        draws = np.random.default_rng(seed)  # each layer's dropout draws, (B, n) row-major
+        draws = np.random.default_rng(seed)  # each layer's dropout draws, (n, B) row-major
         for mask, n in zip(tr.masks, sizes[1:-1]):
             if dropout:
-                np.testing.assert_array_equal(mask, (draws.random((b, n)) >= dropout) / (1 - dropout))
+                keep = draws.random((n, b)).T >= dropout
+                np.testing.assert_array_equal(mask, keep / (1 - dropout))
         for name in ("inputs", "hidden", "masks"):
             for got, ref in zip(getattr(tr_s, name), getattr(tr, name)):
                 np.testing.assert_array_equal(got, ref, err_msg=name)
@@ -617,10 +677,12 @@ def test_an_eval_pass_holds_only_layer_inputs_and_the_output():
     assert net.scratch.buf.size == b * (sum(1 + m for m in sizes[:-1]) + sizes[-1])
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 11])
+@pytest.mark.parametrize("chunk", [1, 8, 12])
 def test_masked_products_do_not_depend_on_the_chunking(monkeypatch, chunk):
-    # chunks of 1, 4 and 11 entries, against one chunk per layer by default;
-    # 11 splits the 4-entry units of the masked layers
+    # a chunk holds whole units, here of 4 entries each: budgets of 1, 8
+    # and 12 entries run 1, 2 and 3 units per chunk, against one chunk per
+    # layer by default, and split the 9 and 7 units of the masked layers
+    # unevenly
     rng = np.random.default_rng(20)
     sizes, b = [8, 9, 7, 4], 7
     net = random_net(rng, sizes, "tanh", masks=make_sparse_layout(sizes, 3, rng))

@@ -502,13 +502,15 @@ def test_a_warm_step_allocates_less_than_a_fifth_of_theta(algo):
 def test_warm_passes_allocate_nothing_batch_sized(algo, n_mc, masked):
     # After one step and one evaluation, a step and an evaluation carve
     # their batch-sized arrays from net.scratch without reallocating it. A
-    # step allocates only chunk-sized buffers: the masked layers' two
-    # gather buffers of CHUNK_FLOATS floats (sampled products), or the
-    # update's one chunk (axpy), whichever is larger; and the output head's
-    # (B, K) arrays, 16 KiB each here, of which it holds less than three
-    # (measured above the chunks: at most 20 KB dense, 44 KB masked). So a
-    # theta-sized copy, even the masked net's 50 KB one, does not fit. An
-    # evaluation allocates its feature gather and a few small objects.
+    # step allocates only chunk-sized buffers: the masked layers' one
+    # activation gather buffer of at most CHUNK_FLOATS floats (sampled
+    # products, which read the deltas in place), or the update's one chunk
+    # (axpy), whichever is larger; and the output head's (B, K) arrays,
+    # 16 KiB each here, of which it holds less than three (measured above
+    # the chunks: at most 21 KB dense, 39 KB masked). So a theta-sized
+    # copy, even the masked net's 50 KB one, does not fit, nor does a
+    # second gather buffer. An evaluation allocates its feature gather and
+    # a few small objects.
     rng = np.random.default_rng(17)
     sizes, b, k = [32, 320, 256, 4], 512, 4
     masks = make_sparse_layout(sizes, 8, rng) if masked else None
@@ -536,7 +538,7 @@ def test_warm_passes_allocate_nothing_batch_sized(algo, n_mc, masked):
     finally:
         tracemalloc.stop()
     assert net.scratch.buf is buf
-    chunks = max(2 * CHUNK_FLOATS if masked else 0, min(CHUNK_FLOATS, net.theta.size)) * 8
+    chunks = max(CHUNK_FLOATS if masked else 0, min(CHUNK_FLOATS, net.theta.size)) * 8
     assert step - chunks < 3 * b * k * 8
     assert evaluation <= ds.features[ds.valid_idx].nbytes + 2**14
 
