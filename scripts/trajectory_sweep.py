@@ -59,7 +59,8 @@ def sweep(w, seed, steps, scratch_dir):
 def report(w, seed, steps, nll, failed):
     """The two lines printed for one run."""
     late = list(enumerate(nll, 1))[SETTLED_EPOCHS:]
-    peak = max(late, key=lambda e: e[1], default=None)
+    # a NaN ranks highest, as in the ceiling list; the first of equals wins
+    peak = max(late, key=lambda e: (math.isnan(e[1]), e[1]), default=None)
     high = [f"{epoch} ({value:.3f})" for epoch, value in late if not value < w.nll_ceiling]
     return (f"{w.name} seed {seed}, {steps} steps: held-out NLL by epoch "
             + " ".join(f"{value:.3f}" for value in nll)

@@ -34,9 +34,14 @@ __all__ = [
 # gathered activation rows, in chunks of whole units. There, gathering a
 # whole layer at once allocates nnz * batch floats, 45 MB at the first
 # layer of the paper's sparse net at batch 200; on that net (2-vCPU Xeon,
-# batch 200) one gradient plus one QD-term call took a median 22 ms with
-# these chunks (14 units of that layer), 28-38 ms with 2^18 floats (119
-# units) and 58-84 ms with whole layers.
+# batch 200) one gradient plus one QD-term call, each gathering the rows,
+# took a median 22 ms with these chunks (14 units of that layer), 28-38 ms
+# with 2^18 floats (119 units) and 58-84 ms with whole layers. Taken in one
+# qd_batch_terms call that gathers each chunk once, as a single-seed
+# metric's step takes them, the same products took 13.8-15.4 ms, where
+# the earlier code's two calls took 19.4-21.6 ms (medians of 150 calls in
+# 5 alternating pairs of processes, 2-vCPU Xeon, a later day than the
+# numbers above).
 CHUNK_FLOATS = 1 << 15
 
 

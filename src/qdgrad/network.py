@@ -32,9 +32,15 @@ vector, so no per-sample gradient is ever materialized. For a masked layer
 they are these products sampled at the stored entries only:
 sum_s d[s, r] [1|a][s, c] for each entry (r, c) of P. The layer groups
 its units by fan-in, and a group's entries form one (units, 1+fan_in)
-array; each chunk of whole units runs as one stacked matmul of its
-gathered [1|a] rows with its units' rows of d, read in place (see
-sampled_products).
+array; each chunk of whole units gathers its [1|a] rows once, and each
+product runs as one stacked matmul of that buffer with its units' rows of
+d or q, read in place (see sampled_products). Given the gradient's deltas
+as well, qd_batch_terms writes the gradient with the terms, so a masked
+layer gathers each chunk once for all three products. A metric of one
+seed of its own (dmcnat and qdmcnat at n_mc = 1) takes that path, since
+its q lives in that seed's deltas; the others form q over the gradient's
+deltas, so they call grad_from_deltas first and gather twice (see
+optim._metric_batch).
 
 A pass stores no hidden pre-activation: a hidden layer's a @ P.T is
 written where its activation goes, which is applied in place. Every
@@ -232,7 +238,11 @@ class _LayerIndex:
     keeps CSR structure over [b|W] (indptr, indices; column 0, the bias,
     first in every row, then the sources shifted by one in ascending
     order), whose data is the segment itself, and its units grouped by
-    fan-in for sampled_products.
+    fan-in for sampled_products. That gathers each chunk's activation rows
+    once for all the products it is asked for: the gradient alone
+    (grad_from_deltas), the metric's row and diag, or, for a metric of
+    one seed of its own, the gradient, row and diag together
+    (qd_batch_terms given the gradient's deltas).
     """
 
     def __init__(self, mask, n, m, offset):
@@ -279,35 +289,51 @@ class _LayerIndex:
         P.data = seg  # the constructor copies a view of less than half of its base array
         return P
 
-    def sampled_products(self, d, a, out, out_sq=None):
-        """The products of a masked layer, sampled at its stored entries.
+    def sampled_products(self, a, plain, squared=None):
+        """Products of a masked layer, sampled at its stored entries.
 
-        For per-sample unit values d (B, n) and layer inputs a (B, 1+m),
-        writes sum_s d[s, r_j] a[s, c_j] to out[j] and sum_s d[s, r_j]
-        a[s, c_j]**2 to out_sq[j], for each stored entry j of [b|W] at
-        (r_j, c_j); either output may be None. The work runs per group of
-        units of one fan-in, over chunks of whole units: a chunk gathers
-        the rows a[:, c_j] of its entries into one (units, 1+fan_in, B)
-        buffer, reads the units' rows of d in place as a (units, B, 1)
-        stack, and one stacked matmul writes the products of all its
-        entries, straight into out where the units are consecutive.
+        For layer inputs a (B, 1+m), plain lists (d, out) pairs of
+        per-sample unit values d (B, n) and segment-sized outputs: each
+        gets sum_s d[s, r_j] a[s, c_j] in out[j], for each stored entry j
+        of [b|W] at (r_j, c_j). squared, a (d, out) pair or None, gets
+        sum_s d[s, r_j] a[s, c_j]**2. The work runs per group of units of
+        one fan-in, over chunks of whole units: a chunk gathers the rows
+        a[:, c_j] of its entries once, into one (units, 1+fan_in, B)
+        buffer, and every product reads that buffer. Each reads the units'
+        rows of its d in place as a (units, B, 1) stack, and one stacked
+        matmul writes the products of all the chunk's entries, straight
+        into out where the units are consecutive. The plain products run
+        first; the squared one squares the buffer in place.
         """
-        b = d.shape[0]
-        dT, aT = d.T, a.T
+        b = a.shape[0]
+        aT = a.T
+        products = [*plain] if squared is None else [*plain, squared]
         for units, entries, cols in self.groups:
-            k = cols.shape[1]  # 1 + fan_in
+            n, k = cols.shape  # units, 1 + fan_in
             step = max(1, CHUNK_FLOATS // max(1, k * b))  # whole units per chunk
-            A_buf = np.empty((min(step, len(units)), k, b))
-            for u0 in range(0, len(units), step):
-                u1 = min(u0 + step, len(units))
-                # mode="clip" writes to out directly; the default buffers it
-                A = np.take(aT, cols[u0:u1], axis=0, out=A_buf[: u1 - u0], mode="clip")
-                D = _rows(dT, units[u0:u1])[:, :, None]
-                if out is not None:
-                    _stacked_into(out, entries[u0:u1], A, D)
-                if out_sq is not None:
-                    A *= A
-                    _stacked_into(out_sq, entries[u0:u1], A, D)
+            A_buf = np.empty((min(step, n), k, b))
+            run = units[-1] - units[0] + 1 == n  # consecutive units, so consecutive entries
+            if run:  # each chunk slices these views of the d rows and the outputs
+                lo, at = units[0], entries[0, 0]
+                views = [(d.T[lo : lo + n, :, None], out[at : at + n * k].reshape(n, k, 1))
+                         for d, out in products]
+            for u0 in range(0, n, step):
+                u1 = min(u0 + step, n)
+                A = _gather(aT, cols[u0:u1], A_buf[: u1 - u0])
+                for i, (d, out) in enumerate(products):
+                    if i == len(plain):
+                        A *= A  # for the squared product, which comes last
+                    if run:
+                        D, O = views[i]
+                        np.matmul(A, D[u0:u1], out=O[u0:u1])
+                    else:  # gathers the d rows where it must, and scatters the products
+                        D = _rows(d.T, units[u0:u1])[:, :, None]
+                        out[entries[u0:u1]] = np.matmul(A, D)[:, :, 0]
+
+
+def _gather(aT, cols, out):
+    """aT[cols] into out: the (units, 1+fan_in, B) activation rows of a chunk."""
+    return aT.take(cols, axis=0, out=out, mode="clip")  # "clip" writes to out directly
 
 
 def _rows(x, idx):
@@ -315,19 +341,6 @@ def _rows(x, idx):
     if idx[-1] - idx[0] + 1 == len(idx):
         return x[idx[0] : idx[-1] + 1]
     return x[idx]
-
-
-def _stacked_into(out, entries, A, D):
-    """out[entries] = (A @ D)[..., 0] for A (u, k, B), D (u, B, 1) and entries (u, k).
-
-    Entries that are one run of consecutive positions are written in
-    place, as the (u, k, 1) view of out that matmul writes to.
-    """
-    lo = entries[0, 0]
-    if entries[-1, -1] - lo + 1 == entries.size:
-        np.matmul(A, D, out=out[lo : lo + entries.size].reshape(*entries.shape, 1))
-    else:
-        out[entries] = np.matmul(A, D)[:, :, 0]
 
 
 class Network:
@@ -500,7 +513,7 @@ class Network:
             if idx.dense:
                 np.matmul(d.T, a, out=idx.matrix(grad))
             else:
-                idx.sampled_products(d, a, idx.seg(grad))
+                idx.sampled_products(a, [(d, idx.seg(grad))])
         return grad
 
     def backprop(self, trace: ForwardTrace, output_grad) -> ParamVector:
@@ -513,7 +526,7 @@ class Network:
         with trace.scratch.released():
             return self.grad_from_deltas(trace, self.backprop_deltas(trace, output_grad))
 
-    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, out):
+    def qd_batch_terms(self, trace: ForwardTrace, sq_deltas, out, grad=None):
         """Metric terms from per-layer summed weighted squared deltas.
 
         sq_deltas[l] is the (B, sizes[l+1]) array sum_c w_c d_c**2 over
@@ -522,21 +535,30 @@ class Network:
         and returns it, with
             diag = sum_s,c w_sc v_sc**2,  row_i = sum_s,c w_sc v_sc0 v_sci,
         where v_sc is the per-sample gradient for seed c. row is None in
-        diagonal mode. The temporary [1|a**2] of a dense layer is carved
+        diagonal mode. grad, if given, is a pair (deltas, flat) of the
+        gradient's deltas, which sq_deltas must not overwrite, and a
+        theta-sized vector: each layer's gradient is then written to flat
+        with its terms, the floats grad_from_deltas writes. A masked
+        layer then gathers its activation rows once per chunk for all
+        three products. The temporary [1|a**2] of a dense layer is carved
         from the trace's scratch.
         """
         trace.check_pass()
         scratch = trace.scratch
         diag, row = out
-        for idx, q, a in zip(self._index, sq_deltas, trace.inputs):
+        for layer, (idx, q, a) in enumerate(zip(self._index, sq_deltas, trace.inputs)):
+            plain = [] if grad is None else [(grad[0][layer], grad[1])]  # products with [1|a]
+            if row is not None:
+                plain.append((q, row))
             if idx.dense:
+                for d, flat in plain:
+                    np.matmul(d.T, a, out=idx.matrix(flat))
                 with scratch.released():
                     sq = np.multiply(a, a, out=scratch.take(*a.T.shape).T)  # a's memory order
                     np.matmul(q.T, sq, out=idx.matrix(diag))
-                if row is not None:
-                    np.matmul(q.T, a, out=idx.matrix(row))
             else:
-                idx.sampled_products(q, a, None if row is None else idx.seg(row), idx.seg(diag))
+                idx.sampled_products(a, [(d, idx.seg(flat)) for d, flat in plain],
+                                     (q, idx.seg(diag)))
             if row is not None:
                 idx.seg(row)[idx.indptr[:-1]] = 0.0  # a bias has no row entry with itself
         return diag, row

@@ -96,21 +96,42 @@ class StepReport:
     step_norm: float
 
 
-def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out):
-    """Minibatch-averaged metric contribution (diag, row) for cfg.algo.
+def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out, grad_out):
+    """The batch's summed gradient and its averaged metric terms for cfg.algo.
 
     Each algorithm lists its (output seed, weight) terms, a weight being a
     scalar or one per sample; adagrad and the op variants use the
     gradient's deltas, grad_deltas. The metric depends on the terms only
-    through the sum of weight * deltas**2 per layer, so that sum is formed
-    first, in place over grad_deltas, which the gradient no longer needs,
-    and the activation products run once, however many terms there are.
-    A term with a seed of its own backprops into one released region of
-    the trace's scratch, so a step holds at most two sets of deltas. The
-    terms are written to out, a (diag, row) pair.
+    through q, the sum of weight * deltas**2 per layer, so q is formed
+    first, in place, and the activation products run once, however many
+    terms there are. A term with a seed of its own backprops into one
+    released region of the trace's scratch, so a step holds at most two
+    sets of deltas. The gradient is written to grad_out and the terms to
+    out, a (diag, row) pair, which is returned.
+
+    Where q lives. A metric of one seed of its own (dmcnat and qdmcnat at
+    n_mc = 1) forms q over that seed's deltas. The gradient's deltas then
+    stay whole, and one qd_batch_terms call writes the gradient with the
+    terms, so a masked layer gathers its activation rows once. Every other
+    metric takes the gradient first and then forms q over the gradient's
+    deltas, which it no longer needs. The op variants' q is those deltas
+    squared, and a set of its own would touch scratch that their step
+    leaves untouched (6.4 MB on the paper's MNIST net at batch 500). A
+    metric of K > 1 terms needs the second set for each later seed, and a
+    step holds no third.
     """
     y = trace.output
     b = y.shape[0]
+    if cfg.algo in ("dmcnat", "qdmcnat") and cfg.n_mc == 1:
+        seed = model.loss_output_grad(y, model.sample_pseudo_target(y, rng))
+        with trace.scratch.released():
+            q = net.backprop_deltas(trace, seed)
+            for d in q:
+                np.multiply(1.0 / b, np.square(d, out=d), out=d)  # w * d**2
+            return net.qd_batch_terms(trace, q, out, grad=(grad_deltas, grad_out))
+
+    # first, so that its gather buffer and the terms' seeds are not held at once
+    net.grad_from_deltas(trace, grad_deltas, out=grad_out)
     if cfg.algo in ("adagrad", "dop", "qdop"):
         terms = [(None, 1.0 / b)]
     elif cfg.algo in ("dmcnat", "qdmcnat"):
@@ -140,18 +161,19 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
     """One minibatch update; raises DivergenceError instead of writing NaNs.
 
     Order of operations: forward and backprop under the current parameters,
-    then one pass over theta-sized chunks that builds the candidate metric
-    in state.spare, solves for the preconditioned direction and checks
-    both (QDMetric.solve with a StepSolve), and the learned output
-    variances' gradient. The first step (state.t == 0) sets the metric to
-    the minibatch's terms. Only once every check has passed come the
-    writes: the parameters, updated in place in a second pass, the metric
-    (a swap of state.metric and state.spare), the learned output variances
-    (a plain SGD step with the same eta) and the step count. A step that
-    raises leaves all of them as they were. At epsilon = 0 a zero divisor
-    in the solve is a non-finite update direction like any other. The
-    batch-sized arrays of the step live in net.scratch. An empty batch
-    raises ValueError before any work.
+    the minibatch gradient and metric terms (_metric_batch says in which
+    order), then one pass over theta-sized chunks that builds the
+    candidate metric in state.spare, solves for the preconditioned
+    direction and checks both (QDMetric.solve with a StepSolve), and the
+    learned output variances' gradient. The first step (state.t == 0)
+    sets the metric to the minibatch's terms. Only once every check has
+    passed come the writes: the parameters, updated in place in a second
+    pass, the metric (a swap of state.metric and state.spare), the learned
+    output variances (a plain SGD step with the same eta) and the step
+    count. A step that raises leaves all of them as they were. At
+    epsilon = 0 a zero divisor in the solve is a non-finite update
+    direction like any other. The batch-sized arrays of the step live in
+    net.scratch. An empty batch raises ValueError before any work.
     """
     if len(inputs) == 0:
         raise ValueError("a step needs at least one sample")
@@ -162,16 +184,17 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
         b = y.shape[0]
         loss = float(np.mean(model.loss(y, targets)))
         grad_deltas = net.backprop_deltas(trace, model.loss_output_grad(y, targets))
-        grad_mean = net.grad_from_deltas(trace, grad_deltas, out=state.grad)
+        grad_mean = state.grad
 
         vgrad = None
         if cfg.algo == "sgd":
+            net.grad_from_deltas(trace, grad_deltas, out=grad_mean)
             grad_mean /= b
             direction = grad_mean
             finite = [_finite(direction), True, True]
         else:
             new = state.spare
-            _metric_batch(net, model, trace, grad_deltas, cfg, rng, (new.diag, new.row))
+            _metric_batch(net, model, trace, grad_deltas, cfg, rng, (new.diag, new.row), grad_mean)
             g = 1.0 if state.t == 0 else cfg.gamma
             # divides grad_mean by b as it goes
             step = StepSolve(state.metric, g, b, state.chunks, root=cfg.algo == "adagrad")

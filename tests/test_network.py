@@ -23,7 +23,8 @@ from qdgrad.network import (
     to_inverted_inputs,
     to_tanh_equivalent,
 )
-from qdgrad.outputs import GaussianOutput
+from qdgrad.optim import OptimizerConfig, OptimizerState, _metric_batch, optimizer_step
+from qdgrad.outputs import CategoricalOutput, GaussianOutput
 from qdgrad.verify import rank_one_update
 
 
@@ -522,7 +523,7 @@ def test_masked_products_are_within_the_dot_product_error_bound(mask, b, chunk, 
     out, out_sq = np.full(idx.size, np.nan), np.full(idx.size, np.nan)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "CHUNK_FLOATS", chunk)
-        idx.sampled_products(d, a, out, out_sq)
+        idx.sampled_products(a, [(d, out)], (d, out_sq))
     rows = np.repeat(np.arange(n), idx.degrees)
     for j, (r, c) in enumerate(zip(rows, idx.indices, strict=True)):
         x = d[:, r]
@@ -697,6 +698,75 @@ def test_masked_products_do_not_depend_on_the_chunking(monkeypatch, chunk):
     monkeypatch.setattr(network, "CHUNK_FLOATS", chunk * b)
     for got, ref in zip(products(), default, strict=True):
         np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_fan_in_masks(), st.sampled_from([1, 7, 200]), st.sampled_from(["qdmcnat", "dmcnat"]),
+       st.sampled_from([1, 5, 40, network.CHUNK_FLOATS]), st.sampled_from([0.0, 0.3]),
+       st.integers(0, 2**32 - 1))
+@example(  # fan-ins 2, 0, 2, 3, 0: both groups of two units are split by another group
+    np.array([[1, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]], dtype=bool),
+    7, "qdmcnat", 5, 0.3, 3,
+)
+def test_a_single_seed_metric_writes_the_floats_of_separate_passes(mask, b, algo, chunk, dropout,
+                                                                   seed):
+    # the gradient written with the metric terms, from one gather per
+    # chunk, against grad_from_deltas and qd_batch_terms called one after
+    # the other on the same trace, on a masked layer and two dense ones;
+    # the chunk budget runs from one unit per chunk to the default
+    n, m = mask.shape
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, [m, n, 4, 3], "tanh", masks=[mask, None, None], dropout=dropout)
+    model = CategoricalOutput(3)
+    X, T = rng.standard_normal((b, m)), rng.integers(0, 3, size=b)
+    quasi = algo == "qdmcnat"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "CHUNK_FLOATS", chunk)
+        tr = net.forward(X, rng=np.random.default_rng(seed))  # kept: backprop runs three times
+        deltas = net.backprop_deltas(tr, model.loss_output_grad(tr.output, T))
+        grad = np.full(net.layout.dim, np.nan)
+        terms = tuple(t if t is None else np.full_like(t, np.nan) for t in terms_out(net, quasi))
+        _metric_batch(net, model, tr, deltas, OptimizerConfig(algo, eta=0.1),
+                      np.random.default_rng(seed + 1), terms, grad)
+
+        ref_grad = net.grad_from_deltas(tr, deltas)  # the deltas are still the gradient's
+        y = tr.output
+        pseudo = model.sample_pseudo_target(y, np.random.default_rng(seed + 1))
+        q = [np.multiply(1.0 / b, np.square(d))
+             for d in net.backprop_deltas(tr, model.loss_output_grad(y, pseudo))]
+        ref_terms = net.qd_batch_terms(tr, q, terms_out(net, quasi))
+    np.testing.assert_array_equal(grad, ref_grad)
+    for got, ref in zip(terms, ref_terms, strict=True):
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("algo, n_mc, gathers", [("qdmcnat", 1, 1), ("dmcnat", 1, 1),
+                                                  ("qdop", 1, 2), ("qdmcnat", 3, 2)])
+def test_a_single_seed_step_gathers_each_chunk_once(monkeypatch, algo, n_mc, gathers):
+    # a metric of one seed of its own takes the gradient in its metric-term
+    # pass, so each chunk's activation rows are gathered once per step;
+    # the op variants and several seeds take the gradient first and gather
+    # each chunk twice
+    rng = np.random.default_rng(21)
+    sizes, b = [8, 9, 7, 4], 7
+    net = random_net(rng, sizes, "tanh", masks=make_sparse_layout(sizes, 3, rng))
+    monkeypatch.setattr(network, "CHUNK_FLOATS", 2 * 4 * b)  # two 4-entry units per chunk
+    chunks = [-(-len(units) // 2) for idx in net._index if not idx.dense
+              for units, _, _ in idx.groups]
+    assert chunks == [5, 4]
+    calls = []
+    gather = network._gather
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return gather(*args)
+
+    monkeypatch.setattr(network, "_gather", counted)
+    cfg = OptimizerConfig(algo, eta=0.1, n_mc=n_mc)
+    optimizer_step(net, CategoricalOutput(4), rng.standard_normal((b, sizes[0])),
+                   rng.integers(0, 4, size=b), OptimizerState(net, cfg), cfg, rng)
+    assert len(calls) == gathers * sum(chunks)
+    assert sum(calls) == gathers * (9 + 7)  # every unit's rows, in whole units
 
 
 def test_a_trace_of_an_earlier_scratch_pass_is_stale():

@@ -284,7 +284,8 @@ def test_first_step_metric_is_the_batch_metric_and_is_linear():
     tr = net.forward(X, mode="train")
     deltas = net.backprop_deltas(tr, model.loss_output_grad(tr.output, T))
     spare = OptimizerState(net, cfg).spare
-    diag, row = _metric_batch(net, model, tr, deltas, cfg, None, (spare.diag, spare.row))
+    diag, row = _metric_batch(net, model, tr, deltas, cfg, None, (spare.diag, spare.row),
+                              np.empty(net.layout.dim))
     np.testing.assert_array_equal(whole.diag, diag)
     np.testing.assert_array_equal(whole.row, row)
 
@@ -328,8 +329,9 @@ def test_mcnat_metric_expectation_matches_nat():
     cfg_mc = OptimizerConfig("qdmcnat", eta=0.1)
     cfg_nat = OptimizerConfig("qdnat", eta=0.1)
     spare = OptimizerState(net, cfg_nat).spare
+    grad = np.empty(net.layout.dim)
     nat_diag, nat_row = _metric_batch(net, model, tr, deltas, cfg_nat, None,
-                                      (spare.diag, spare.row))
+                                      (spare.diag, spare.row), grad)
     spare = OptimizerState(net, cfg_mc).spare
     out = (spare.diag, spare.row)
 
@@ -339,7 +341,7 @@ def test_mcnat_metric_expectation_matches_nat():
     s1_r = np.zeros(net.layout.dim)
     s2_r = np.zeros(net.layout.dim)
     for _ in range(n):
-        d, r = _metric_batch(net, model, tr, deltas, cfg_mc, rng, out)
+        d, r = _metric_batch(net, model, tr, deltas, cfg_mc, rng, out, grad)
         s1_d += d
         s2_d += d * d
         s1_r += r

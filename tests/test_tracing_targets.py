@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdgrad.network import Network
+from qdgrad.network import Network, make_sparse_layout
 from qdgrad.optim import OptimizerConfig, OptimizerState, optimizer_step
 from qdgrad.outputs import CategoricalOutput
 
@@ -49,3 +49,22 @@ def test_a_traced_step_records_the_metric_path():
     for name in ("network.get_params", "network.set_params", "metric.decay", "metric.add_terms"):
         assert name not in order
     assert not hasattr(Network.get_params, "__wrapped__")  # restored on exit
+
+
+def test_a_traced_single_seed_step_takes_the_gradient_in_the_metric_term_pass():
+    # qdmcnat at n_mc = 1 writes the gradient with the metric terms, so its
+    # step records qd_batch_terms and no grad_from_deltas
+    tracing = load_tracing()
+    rng = np.random.default_rng(0)
+    sizes = [6, 8, 5, 3]
+    net = Network(sizes, "tanh", masks=make_sparse_layout(sizes, 2, rng))
+    net.init_params(rng)
+    cfg = OptimizerConfig("qdmcnat", eta=0.1)
+    state = OptimizerState(net, cfg)
+    rec = tracing.SpanRecorder()
+    with tracing.Tracer(rec):
+        optimizer_step(net, CategoricalOutput(3), rng.uniform(size=(5, 6)),
+                       rng.integers(0, 3, size=5), state, cfg, rng)
+    order = [rec.names[i] for i in rec.arrays()["name"]]
+    assert order.count("network.qd_batch_terms") == 1
+    assert "network.grad_from_deltas" not in order
