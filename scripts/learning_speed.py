@@ -53,15 +53,26 @@ def _blas_core():
 
 
 def environment_line():
-    """numpy, BLAS, the BLAS thread count and core, on which a report's last digits depend."""
+    """numpy and its SIMD dispatch, BLAS, the BLAS thread count and core.
+
+    A report's last digits depend on each: the sigmoid's exp runs the
+    SIMD kernel that numpy dispatches to on this CPU, and the GEMMs run
+    the kernels that OpenBLAS picked.
+    """
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    try:
+        blas = config["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
-    except (TypeError, KeyError):
+    except KeyError:
         blas = "unknown"
+    simd = config.get("SIMD Extensions", {})
+    simd = " ".join(["baseline", *simd.get("baseline", []), "found", *simd.get("found", [])])
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or str(len(os.sched_getaffinity(0)))
-    return (f"environment: numpy {np.__version__}, BLAS {blas}, BLAS threads {threads}, "
-            f"BLAS core {_blas_core()}")
+    return (f"environment: numpy {np.__version__}, SIMD {simd}, BLAS {blas}, "
+            f"BLAS threads {threads}, BLAS core {_blas_core()}")
 
 
 @dataclass

@@ -44,6 +44,18 @@ __all__ = [
 # numbers above).
 CHUNK_FLOATS = 1 << 15
 
+# A training step holds its batch metric terms at 2**TERM_EXP times their
+# value, from q's weight (optim._metric_batch) to the blend (StepSolve),
+# which scales them back. On a saturated sigmoid net many w * d**2 fall
+# below 2**-1022, and subnormal operands put the metric products on the
+# CPU's slow path; scaled, they are normal numbers. Scaling by a power of
+# two is exact, so wherever the unscaled terms have no subnormal the
+# metric's floats are theirs, bit for bit. A batch term at or above
+# 2**(1024 - TERM_EXP) overflows to inf, and the step then raises
+# DivergenceError for the metric diagonal or row.
+TERM_EXP = 64
+TERM_SCALE = 2.0**TERM_EXP
+
 
 def axpy(y: np.ndarray, a: float, x: np.ndarray) -> None:
     """y += a * x in place, chunk by chunk.
@@ -110,12 +122,15 @@ class BlockLayout:
 class StepSolve:
     """The rest of a training step's first pass, carried into QDMetric.solve.
 
-    The step solves with a metric that holds the minibatch terms. Chunk by
-    chunk, just before solving with it, the pass makes that metric the
-    moving average (1 - g) prev + g M_batch, with the float operations of
-    decay(1 - g) and then add_terms(prev.diag, prev.row, 1 - g), and
-    divides v by divisor in place. With root it divides by the square
-    root of diag + epsilon instead (AdaGrad's exponent -1/2). buf is the
+    The step solves with a metric that holds the minibatch terms, scaled
+    by TERM_SCALE. Chunk by chunk, just before solving with it, the pass
+    makes that metric the moving average (1 - g) prev + g M_batch: it
+    multiplies the terms by (1 - keep) / TERM_SCALE, keep = 1 - g, and
+    adds keep * prev. Wherever no subnormal occurs, those are the floats
+    of decay(1 - g) and then add_terms(prev.diag, prev.row, 1 - g) on the
+    unscaled terms. The pass also divides v by divisor in place. With
+    root it divides by the square root of diag + epsilon instead
+    (AdaGrad's exponent -1/2). buf is the
     loop's (3, n) scratch, n at least the solve's chunk width:
     max(CHUNK_FLOATS, the longest block). finite records whether the
     direction, the diagonal and the row all came out finite; a missing row
@@ -132,11 +147,12 @@ class StepSolve:
 
     def blend(self, metric, lo, hi, tmp):
         keep = 1.0 - self.g
+        scale = (1.0 - keep) / TERM_SCALE  # exact: a power of two
         tmp = tmp[: hi - lo]
         for new, old in ((metric.diag, self.prev.diag), (metric.row, self.prev.row)):
             if new is not None:
                 y = new[lo:hi]
-                y *= 1.0 - keep  # decay(1 - g)
+                y *= scale  # decay(1 - g) of the unscaled terms
                 np.add(y, np.multiply(old[lo:hi], keep, out=tmp), out=y)  # add_terms
 
     def record(self, metric, out, lo, hi):

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import _sparsetools, csr_array
-from scipy.special import expit
 
 from .metric import CHUNK_FLOATS, BlockLayout
 
@@ -91,9 +90,27 @@ class StaleTraceError(RuntimeError):
     """Trace was produced under other parameters, or its scratch was reset since."""
 
 
+def sigmoid(z, out=None):
+    """The logistic function 1 / (1 + exp(-z)), elementwise; into out if given.
+
+    Four numpy ufuncs (negative, exp, + 1, reciprocal) in place, so exp runs
+    numpy's SIMD kernel, and out may be z itself. Hidden sigmoid units and
+    the Bernoulli output model both call it. Within 3 ulp of the same
+    formula on math.exp (tests/test_network.py). Below z = -709.79 exp(-z)
+    overflows to inf and the result is exactly 0, and above z = 36.74
+    (exp(-z) < 2**-53) it is exactly 1; neither warns, whatever the
+    caller's np.errstate.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.negative(z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
+
+
 def _act(kind, z, out=None):
     if kind == "sigmoid":
-        return expit(z, out=out)
+        return sigmoid(z, out=out)
     if kind == "tanh":
         return np.tanh(z, out=out)
     if kind == "relu":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import CHUNK_FLOATS, QDMetric, StepSolve, axpy
+from .metric import CHUNK_FLOATS, TERM_SCALE, QDMetric, StepSolve, axpy
 
 __all__ = [
     "ALGOS",
@@ -107,7 +107,11 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out, grad_out):
     terms there are. A term with a seed of its own backprops into one
     released region of the trace's scratch, so a step holds at most two
     sets of deltas. The gradient is written to grad_out and the terms to
-    out, a (diag, row) pair, which is returned.
+    out, a (diag, row) pair, which is returned. Each weight is taken times
+    metric.TERM_SCALE (2**64), so q and the terms come out 2**64 times
+    their value, normal numbers where w * d**2 would be subnormal, and
+    StepSolve's blend scales them back (metric.TERM_EXP says why, and
+    which terms overflow).
 
     Where q lives. A metric of one seed of its own (dmcnat and qdmcnat at
     n_mc = 1) forms q over that seed's deltas. The gradient's deltas then
@@ -127,18 +131,19 @@ def _metric_batch(net, model, trace, grad_deltas, cfg, rng, out, grad_out):
         with trace.scratch.released():
             q = net.backprop_deltas(trace, seed)
             for d in q:
-                np.multiply(1.0 / b, np.square(d, out=d), out=d)  # w * d**2
+                np.multiply(TERM_SCALE / b, np.square(d, out=d), out=d)  # w * d**2, scaled
             return net.qd_batch_terms(trace, q, out, grad=(grad_deltas, grad_out))
 
     # first, so that its gather buffer and the terms' seeds are not held at once
     net.grad_from_deltas(trace, grad_deltas, out=grad_out)
     if cfg.algo in ("adagrad", "dop", "qdop"):
-        terms = [(None, 1.0 / b)]
+        terms = [(None, TERM_SCALE / b)]
     elif cfg.algo in ("dmcnat", "qdmcnat"):
         terms = ((model.loss_output_grad(y, model.sample_pseudo_target(y, rng)),
-                  1.0 / (b * cfg.n_mc)) for _ in range(cfg.n_mc))
+                  TERM_SCALE / (b * cfg.n_mc)) for _ in range(cfg.n_mc))
     else:  # dnat, qdnat
-        terms = ((term.seed, term.weight / b) for term in model.enumerate_fisher_terms(y))
+        terms = ((term.seed, term.weight * TERM_SCALE / b)
+                 for term in model.enumerate_fisher_terms(y))
 
     for i, (seed, w) in enumerate(terms):
         with trace.scratch.released():

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
+
+from .network import sigmoid
 
 __all__ = [
     "FisherTerm",
@@ -179,7 +181,7 @@ class BernoulliOutput(OutputModel):
         self.k = int(k)
 
     def probs(self, y):
-        return np.clip(expit(y), BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
+        return np.clip(sigmoid(y), BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
 
     def loss(self, y, t):
         p = self.probs(y)
@@ -187,7 +189,7 @@ class BernoulliOutput(OutputModel):
 
     def loss_output_grad(self, y, t):
         # exact d/d logit of the unclamped loss; the clamp only guards logs
-        return expit(y) - t
+        return sigmoid(y) - t
 
     def sample_pseudo_target(self, y, rng):
         p = self.probs(y)

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdgrad import metric
-from qdgrad.metric import CHUNK_FLOATS, BlockLayout, MetricError, QDMetric, StepSolve, axpy
+from qdgrad.metric import (
+    CHUNK_FLOATS,
+    TERM_SCALE,
+    BlockLayout,
+    MetricError,
+    QDMetric,
+    StepSolve,
+    axpy,
+)
 from qdgrad.verify import qd_reduce, rank_one_update
 
 # ---------------------------------------------------------------------------
@@ -378,7 +386,8 @@ def test_the_step_pass_computes_the_floats_of_updated_then_solve(
         runs, mode, first, gamma, epsilon, divisor, chunk, damage, seed):
     # one chunk loop averages, solves and checks; it must give the floats
     # of the two whole-array calls, zero divisors included, and flag their
-    # non-finite values, however the blocks fall into chunks
+    # non-finite values, however the blocks fall into chunks. The step
+    # hands the loop its batch terms scaled by TERM_SCALE, exactly.
     rng = np.random.default_rng(seed)
     layout = BlockLayout(np.array([length for length, count in runs for _ in range(count)]))
     quasi, root = mode == "quasi", mode == "root"
@@ -403,7 +412,7 @@ def test_the_step_pass_computes_the_floats_of_updated_then_solve(
         new_ref = updated(prev, *(a if a is None else a.copy() for a in batch), g)
         direction = solved(new_ref, v / divisor, epsilon, root)
         grad = v.copy()
-        new = metric_over(layout, *batch)
+        new = metric_over(layout, *(a if a is None else a * TERM_SCALE for a in batch))
         width = max(chunk, int(layout.lengths.max()))  # the solve's chunk width
         step = StepSolve(prev, g, divisor, np.empty((3, width)), root=root)
         w = new.solve(grad, epsilon, out=np.empty(layout.dim), _step=step)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.sparse import csr_array
 
 from qdgrad import network
-from qdgrad.metric import QDMetric
+from qdgrad.metric import TERM_SCALE, QDMetric, StepSolve
 from qdgrad.network import (
     Network,
     Scratch,
@@ -23,8 +23,14 @@ from qdgrad.network import (
     to_inverted_inputs,
     to_tanh_equivalent,
 )
-from qdgrad.optim import OptimizerConfig, OptimizerState, _metric_batch, optimizer_step
-from qdgrad.outputs import CategoricalOutput, GaussianOutput
+from qdgrad.optim import (
+    DivergenceError,
+    OptimizerConfig,
+    OptimizerState,
+    _metric_batch,
+    optimizer_step,
+)
+from qdgrad.outputs import BernoulliOutput, CategoricalOutput, GaussianOutput
 from qdgrad.verify import rank_one_update
 
 
@@ -99,6 +105,71 @@ def test_zero_params_sigmoid_outputs_zero():
     assert np.all(y == 0.0)
     tr = net.forward(np.ones((1, 4)), mode="eval")
     assert np.all(tr.hidden[0] == 0.5)
+
+
+# z (and -z) where the sigmoid rounds, saturates, underflows to subnormal
+# values or to 0, or where exp(-z) overflows
+SIGMOID_GRID = (0.0, 1e-300, 0.5, 36.7, 37.0, 708.0, 709.78, 710.0, 745.0, 800.0)
+
+
+def math_sigmoid(z):
+    """1 / (1 + exp(-z)) on math.exp, whose overflow is inf here as in numpy."""
+    try:
+        e = math.exp(-z)
+    except OverflowError:
+        e = math.inf
+    return 1.0 / (1.0 + e)
+
+
+def test_sigmoid_is_within_3_ulp_of_the_formula_on_math_exp():
+    # numpy's exp runs its SIMD kernel, which may differ from libm's in the
+    # last bits; the largest gap measured over 600,000 values in [-750, 750]
+    # was 3 ulp (AVX-512 dispatch, numpy 2.4)
+    rng = np.random.default_rng(23)
+    grid = np.array([sign * z for z in SIGMOID_GRID for sign in (1.0, -1.0)])
+    z = np.concatenate([grid, 10.0 * rng.standard_normal(20_000),
+                        rng.uniform(-750.0, 750.0, 20_000), 1e-3 * rng.standard_normal(2_000)])
+    got = network.sigmoid(z)
+    ref = np.array([math_sigmoid(v) for v in z])
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    ulps = np.abs(got.view(np.int64) - ref.view(np.int64))  # both nonnegative floats
+    assert ulps.max() <= 3, z[ulps.argmax()]
+
+
+def test_sigmoid_is_exactly_0_and_1_at_the_extremes():
+    z = np.array([-800.0, -745.0, -710.0, -np.inf, 37.0, 708.0, 745.0, 800.0, np.inf])
+    np.testing.assert_array_equal(network.sigmoid(z), [0.0] * 4 + [1.0] * 5)
+    np.testing.assert_array_equal(network.sigmoid(np.array([0.0, -0.0, 1e-300, -1e-300])), 0.5)
+    assert 0.0 < network.sigmoid(np.array([-709.78]))[0] < 2.0**-1022  # subnormal, not 0
+
+
+def test_sigmoid_in_place_gives_the_floats_of_a_new_array():
+    # forward applies the activation where it wrote the pre-activation, a
+    # transposed view; out may be z itself, contiguous or not
+    rng = np.random.default_rng(24)
+    z = 20.0 * rng.standard_normal((7, 5))
+    ref = network.sigmoid(z)
+    for view in (lambda a: a, lambda a: a.T):
+        buf = z.copy()
+        got = network.sigmoid(view(buf), out=view(buf))
+        assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(buf, ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_and_the_bernoulli_head_do_not_warn_at_numpys_default_errstate():
+    # exp(-z) overflows below z = -709.79; the sigmoid silences it itself,
+    # so callers need no errstate of their own
+    assert np.geterr()["over"] == "warn"
+    z = np.array([[sign * v for v in SIGMOID_GRID for sign in (1.0, -1.0)]])
+    network.sigmoid(z)
+    network.sigmoid(z.copy(), out=z)
+    model = BernoulliOutput(z.shape[1])
+    model.probs(z)
+    model.loss_output_grad(z, np.ones_like(z))
+    net = Network([1, 2, 1], "sigmoid")
+    net.set_params(np.array([0.0, 1e3, 0.0, -1e3, 0.0, 1.0, 1.0]))
+    net.forward(np.array([[-1.0], [1.0]]), mode="eval")  # hidden z = -1000 and 1000
 
 
 def test_forward_frozen_scalar_chain():
@@ -732,7 +803,7 @@ def test_a_single_seed_metric_writes_the_floats_of_separate_passes(mask, b, algo
         ref_grad = net.grad_from_deltas(tr, deltas)  # the deltas are still the gradient's
         y = tr.output
         pseudo = model.sample_pseudo_target(y, np.random.default_rng(seed + 1))
-        q = [np.multiply(1.0 / b, np.square(d))
+        q = [np.multiply(TERM_SCALE / b, np.square(d))  # the step's terms are scaled
              for d in net.backprop_deltas(tr, model.loss_output_grad(y, pseudo))]
         ref_terms = net.qd_batch_terms(tr, q, terms_out(net, quasi))
     np.testing.assert_array_equal(grad, ref_grad)
@@ -796,6 +867,135 @@ def test_scratch_never_grows_within_a_pass():
         scratch.take(1, 3)
     assert scratch.reset(10).buf is buf  # a pass that fits keeps the buffer
     assert scratch.reset(11).buf.size == 11
+
+
+# ---------------------------------------------------------------------------
+# Scaled metric terms
+# ---------------------------------------------------------------------------
+
+
+def entry_positions(idx):
+    """Unit and [1|a] column of each entry of a layer's segment, bias first in each unit."""
+    rows = np.repeat(np.arange(idx.n), idx.degrees)
+    return rows, np.tile(np.arange(1 + idx.m), idx.n) if idx.dense else idx.indices
+
+
+def blended_error_bound(b, c, keep, w, d_sq, xs, q, prev):
+    """Bound on a blended term's error, from the float inputs, in rationals.
+
+    The exact value is c sum_s w d_s**2 x_s + keep prev, where x_s is
+    [1|a] (row) or its square (diag), c = 1 - keep and w the weight as the
+    step's floats hold them, d_s**2 exact and q_s the computed scaled
+    terms. Each float operation rounds to a relative error of u = 2**-53
+    or, below 2**-1022, to an absolute one of 2**-1075. The relative part
+    is gamma_(B+5) times the sum of magnitudes: the square, the weight, x's
+    square, the B-term dot product (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., eq. 3.5), the blend's multiply and its
+    add. The absolute part counts each subnormal rounding, taken at most
+    twice by the roundings after it: d**2's (times c w x_s), those of the
+    scaled products (w * d**2, x**2, and at most 2B in the dot product,
+    all times c / TERM_SCALE), and the blend's three.
+    """
+    u, eta, scale = Fraction(1, 2**53), Fraction(1, 2**1075), Fraction(TERM_SCALE)
+    gamma = (b + 5) * u / (1 - (b + 5) * u)
+    size = c * w * sum(ds * abs(x) for ds, x in zip(d_sq, xs)) + keep * abs(prev)
+    ax = sum(abs(x) for x in xs)
+    tiny = 2 * c * w * ax + 2 * c / scale * (ax + sum(abs(v) for v in q) + 2 * b) + 3
+    return gamma * size + eta * tiny
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_or_masked_nets(), st.sampled_from([1, 7, 30]), st.sampled_from(["qdop", "dop"]),
+       st.sampled_from([1.0, 0.01]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_scaled_metric_terms_blend_to_within_the_error_bound_of_exact_values(
+        net_spec, b, algo, g, tiny, seed):
+    # an op step's metric: q = w * d**2 scaled by TERM_SCALE, its products
+    # and the blend that scales them back, against the exact blend of the
+    # unscaled terms. With tiny, the deltas span 2**-540 to 1, and each
+    # layer has one of 2**-511, whose w * d**2 is subnormal for B > 1, and
+    # one of 2**-520, whose d**2 is. Without, no float is subnormal, and
+    # the metric is that of the unscaled terms bit for bit.
+    sizes, masks, activation = net_spec
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, sizes, activation, masks=masks)
+    dim = net.layout.dim
+    tr = net.forward(rng.standard_normal((b, sizes[0])))
+    deltas = [rng.standard_normal((b, n)) for n in sizes[1:]]
+    magnitude = (lambda shape: 2.0 ** rng.integers(-540, 1, size=shape)) if tiny else np.ones
+    deltas = [d * magnitude(d.shape) for d in deltas]
+    if tiny:
+        for d in deltas:
+            d.flat[0], d.flat[-1] = 2.0**-511, 2.0**-520
+    cfg = OptimizerConfig(algo, eta=0.1)
+    state = OptimizerState(net, cfg)
+    prev, new = state.metric, state.spare
+    prev.diag[:] = rng.uniform(0.0, 2.0, dim) * magnitude(dim) ** 2
+    if cfg.quasi:
+        prev.row[:] = rng.uniform(-1.0, 1.0, dim) * magnitude(dim) ** 2
+        prev.row[net.layout.starts] = 0.0
+    q = [d.copy() for d in deltas]  # _metric_batch squares them in place
+    with np.errstate(all="ignore"):
+        _metric_batch(net, None, tr, q, cfg, None, (new.diag, new.row), state.grad)
+        new.solve(state.grad, cfg.epsilon, out=state.direction,
+                  _step=StepSolve(prev, g, b, state.chunks))
+
+    keep = 1.0 - g
+    c, w = Fraction(1.0 - keep), Fraction(TERM_SCALE / b) / Fraction(TERM_SCALE)
+    for idx, d, qs, x in zip(net._index, deltas, q, tr.inputs, strict=True):
+        d_sq = [[Fraction(v) ** 2 for v in col] for col in d.T]
+        q_col = [[Fraction(v) for v in col] for col in qs.T]
+        x_col = [[Fraction(v) for v in col] for col in x.T]
+        rows, cols = entry_positions(idx)
+        for power, got, old in ((2, new.diag, prev.diag), (1, new.row, prev.row)):
+            if got is None:
+                continue
+            for j, (r, col) in enumerate(zip(rows, cols, strict=True)):
+                got_j, old_j = idx.seg(got)[j], Fraction(idx.seg(old)[j])
+                if power == 1 and col == 0:  # a bias has no row entry with itself
+                    assert got_j == 0.0
+                    continue
+                xs = [v**power for v in x_col[col]]
+                exact = c * w * sum(ds * v for ds, v in zip(d_sq[r], xs)) + Fraction(keep) * old_j
+                bound = blended_error_bound(b, c, Fraction(keep), w, d_sq[r], xs, q_col[r], old_j)
+                assert abs(Fraction(got_j) - exact) <= bound, (power, j, r, col)
+
+    if not tiny:
+        unscaled = net.qd_batch_terms(tr, [np.multiply(1.0 / b, np.square(d)) for d in deltas],
+                                      (np.empty(dim), np.empty(dim) if cfg.quasi else None))
+        for got, terms, old in zip((new.diag, new.row), unscaled, (prev.diag, prev.row)):
+            if got is not None:
+                # decay(1 - g), then add_terms(prev, 1 - g), as before the scaling
+                np.testing.assert_array_equal(got.view(np.int64),
+                                              (terms * (1.0 - keep) + old * keep).view(np.int64))
+
+
+@pytest.mark.parametrize("algo", ["qdop", "dop"])
+def test_a_metric_term_past_the_scaled_range_diverges_and_writes_nothing(algo):
+    # an input of 2**490 whose weights are 0 leaves the loss and the
+    # gradient finite, and gives its weights' diagonal terms about 2**973:
+    # finite, but past 2**(1024 - 64), so the scaled terms overflow
+    rng = np.random.default_rng(25)
+    net = random_net(rng, [3, 4, 2], "sigmoid")
+    net.layers[0][:, 1] = 0.0
+    X, T = rng.standard_normal((6, 3)), rng.integers(0, 2, size=6)
+    X[:, 0] = 2.0**490
+    model = CategoricalOutput(2)
+    cfg = OptimizerConfig(algo, eta=0.1)
+    state = OptimizerState(net, cfg)
+    tr = net.forward(X)
+    deltas = net.backprop_deltas(tr, model.loss_output_grad(tr.output, T))
+    unscaled, _ = net.qd_batch_terms(tr, [d * d / 6 for d in deltas], terms_out(net, False))
+    assert np.isfinite(unscaled).all() and unscaled.max() >= 2.0 ** (1024 - 64)
+
+    theta = net.theta.copy()
+    before = [a.copy() for a in (state.metric.diag, state.metric.row) if a is not None]
+    with pytest.raises(DivergenceError, match="non-finite metric diagonal"):
+        optimizer_step(net, model, X, T, state, cfg)
+    np.testing.assert_array_equal(net.theta, theta)
+    after = [a for a in (state.metric.diag, state.metric.row) if a is not None]
+    for a, ref in zip(after, before, strict=True):
+        np.testing.assert_array_equal(a, ref)
+    assert state.t == 0
 
 
 # ---------------------------------------------------------------------------

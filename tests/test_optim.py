@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdgrad.data import Dataset
 from qdgrad.harness import eval_metrics
-from qdgrad.metric import CHUNK_FLOATS, QDMetric
+from qdgrad.metric import CHUNK_FLOATS, TERM_SCALE, QDMetric
 from qdgrad.network import Network, make_sparse_layout
 from qdgrad.optim import (
     ALGOS,
@@ -275,7 +275,8 @@ def first_step_metric(net, model, X, T, cfg):
 
 def test_first_step_metric_is_the_batch_metric_and_is_linear():
     # gamma = 1 on the first step (state.t == 0): its metric is the
-    # minibatch terms themselves, so it is linear in the batch
+    # minibatch terms themselves, which _metric_batch returns scaled by
+    # TERM_SCALE, so it is linear in the batch
     rng = np.random.default_rng(6)
     net, model, X, T = random_problem(rng, [3, 4, 2], 2, batch=8)
     cfg = OptimizerConfig("qdop", eta=0.1)
@@ -286,8 +287,8 @@ def test_first_step_metric_is_the_batch_metric_and_is_linear():
     spare = OptimizerState(net, cfg).spare
     diag, row = _metric_batch(net, model, tr, deltas, cfg, None, (spare.diag, spare.row),
                               np.empty(net.layout.dim))
-    np.testing.assert_array_equal(whole.diag, diag)
-    np.testing.assert_array_equal(whole.row, row)
+    np.testing.assert_array_equal(whole.diag * TERM_SCALE, diag)
+    np.testing.assert_array_equal(whole.row * TERM_SCALE, row)
 
     a = first_step_metric(net, model, X[:3], T[:3], cfg)
     b = first_step_metric(net, model, X[3:], T[3:], cfg)

@@ -63,8 +63,9 @@ def test_gaussian_loss_counts_sigma():
 
 def test_bernoulli_perfect_fit_loss_is_clamp_sized():
     m = BernoulliOutput(4)
-    y = np.array([[60.0, -60.0, 60.0, -60.0]])  # saturates expit to exactly 0/1
+    y = np.array([[60.0, -60.0, 60.0, -60.0]])  # the sigmoid lies past the clamp at both ends
     t = np.array([[1.0, 0.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(m.probs(y), [[1.0 - BERNOULLI_CLAMP, BERNOULLI_CLAMP] * 2])
     assert m.loss(y, t)[0] == pytest.approx(-4.0 * np.log1p(-BERNOULLI_CLAMP), rel=1e-9)
     assert m.loss(y, t)[0] == pytest.approx(4.0 * BERNOULLI_CLAMP, rel=1e-4)
 
