@@ -213,9 +213,15 @@ class ForwardTrace:
 def make_sparse_layout(sizes, fan_in, rng):
     """Boolean connectivity masks: fan_in presynaptic units per hidden unit.
 
-    Sources are drawn uniformly without replacement: each unit takes the
-    fan_in sources with the smallest of m uniform draws. The output layer
-    is fully connected. Returns one (n_l, n_(l-1)) mask per weight layer.
+    Each hidden unit's sources are a uniform random fan_in-subset of the m
+    units below, drawn by Floyd's algorithm (Bentley and Floyd, "A sample
+    of brilliance", CACM 1987) for all n units of a layer at once: for j
+    from m - fan_in to m - 1, every unit draws t uniform in [0, j] with one
+    rng.integers(0, j + 1, size=n) call, and takes source t, or source j
+    if t is taken already. So a layer costs fan_in draws per unit and its
+    (n, m) bool mask, which the draws write directly. The output layer is
+    fully connected and draws nothing. Returns one (n_l, n_(l-1)) mask per
+    weight layer.
     """
     if fan_in < 1:
         raise ValueError(f"fan_in must be at least 1, got {fan_in}")
@@ -227,9 +233,12 @@ def make_sparse_layout(sizes, fan_in, rng):
             continue
         if fan_in > m:
             raise ValueError(f"fan_in {fan_in} exceeds layer size {m}")
-        cols = np.argpartition(rng.random((n, m)), fan_in - 1, axis=1)[:, :fan_in]
         mask = np.zeros((n, m), dtype=bool)
-        np.put_along_axis(mask, cols, True, axis=1)
+        units = np.arange(n)
+        for j in range(m - fan_in, m):
+            t = rng.integers(0, j + 1, size=n)
+            t[mask[units, t]] = j  # t taken already: j is new, as every pick so far is below j
+            mask[units, t] = True
         masks.append(mask)
     return masks
 
@@ -260,6 +269,11 @@ class _LayerIndex:
     (grad_from_deltas), the metric's row and diag, or, for a metric of
     one seed of its own, the gradient, row and diag together
     (qd_batch_terms given the gradient's deltas).
+
+    The structure comes from the flat positions of the mask's True entries,
+    split by divmod into the rows and columns that np.nonzero(mask) would
+    return, so building it costs one 1-D scan of the mask and then work in
+    proportion to the connections.
     """
 
     def __init__(self, mask, n, m, offset):
@@ -269,7 +283,7 @@ class _LayerIndex:
         if self.dense:
             degrees = np.full(n, 1 + m, dtype=np.int64)
         else:
-            rows, cols = np.nonzero(mask)
+            rows, cols = np.divmod(np.flatnonzero(mask), m)
             degrees = 1 + np.bincount(rows, minlength=n)
         self.degrees = degrees  # entries per row of [b|W]
         self.indptr = np.concatenate(([0], np.cumsum(degrees)))
@@ -413,16 +427,22 @@ class Network:
         self.version += 1
 
     def init_params(self, rng) -> None:
-        """Scaled-uniform weights over unmasked connections, zero biases."""
+        """Scaled-uniform weights over unmasked connections, zero biases.
+
+        Each layer draws one uniform per connection, in block order, straight
+        into its weight entries.
+        """
         for idx in self._index:
-            nnz = idx.size - idx.n
             seg = idx.seg(self.theta)
-            seg[:] = 0.0
+            biases = idx.indptr[:-1]
+            seg[biases] = 0.0
+            nnz = idx.size - idx.n
             if nnz == 0:
                 continue
             a = np.sqrt(6.0 / (nnz / idx.n + nnz / idx.m))
-            draws = rng.uniform(-a, a, size=nnz)  # one per connection, in block order
-            seg[:] = np.insert(draws, idx.indptr[:-1] - np.arange(idx.n), 0.0)
+            weights = np.ones(idx.size, dtype=bool)
+            weights[biases] = False
+            seg[weights] = rng.uniform(-a, a, size=nnz)
         self.version += 1
 
     # -- forward / backward ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Network tests against independent loop-based and finite-difference oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -289,18 +290,103 @@ def test_sparse_layout_deterministic_and_bounded():
         make_sparse_layout([3, 5, 2], fan_in=4, rng=np.random.default_rng(0))
 
 
+def floyd_reference(sizes, fan_in, rng):
+    """Floyd's algorithm unit by unit, on the draws of the same rng.integers calls."""
+    masks = []
+    for layer in range(1, len(sizes) - 1):
+        n, m = sizes[layer], sizes[layer - 1]
+        chosen = [set() for _ in range(n)]
+        for j in range(m - fan_in, m):
+            draws = rng.integers(0, j + 1, size=n)
+            for unit, t in enumerate(draws.tolist()):
+                chosen[unit].add(j if t in chosen[unit] else t)
+        mask = np.zeros((n, m), dtype=bool)
+        for unit, sources in enumerate(chosen):
+            mask[unit, sorted(sources)] = True
+        masks.append(mask)
+    return masks
+
+
 @pytest.mark.parametrize("seed", [0, 1, 101])
-def test_sparse_layout_matches_full_sort_selection(seed):
-    # each unit's sources are the fan_in smallest of its uniform draws
-    sizes = [30, 25, 12, 4]
+def test_sparse_layout_matches_a_per_unit_floyd_reference(seed):
+    sizes = [30, 25, 12, 7, 4]
     masks = make_sparse_layout(sizes, 7, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    for layer in range(len(sizes) - 2):
-        n, m = sizes[layer + 1], sizes[layer]
-        cols = np.argsort(rng.random((n, m)), axis=1)[:, :7]
-        ref = np.zeros((n, m), dtype=bool)
-        np.put_along_axis(ref, cols, True, axis=1)
-        np.testing.assert_array_equal(masks[layer], ref)
+    ref = floyd_reference(sizes, 7, np.random.default_rng(seed))
+    for got, want in zip(masks, ref, strict=False):
+        np.testing.assert_array_equal(got, want)
+    assert masks[-1].all() and len(masks) == len(ref) + 1
+
+
+def test_sparse_layout_draws_every_subset_equally_often():
+    # 3 of 7 sources for 200,000 units: the 35 subsets against a uniform
+    # law. chi2(34) exceeds 65.25 with probability 1e-3; this seed reads 30.8.
+    from scipy.stats import chi2
+
+    n = 200_000
+    (mask, _) = make_sparse_layout([7, n, 1], 3, np.random.default_rng(3201))
+    codes = mask @ (1 << np.arange(7))
+    counts = np.bincount(codes, minlength=128)
+    subsets = [c for c in range(128) if bin(c).count("1") == 3]
+    assert np.count_nonzero(counts) == len(subsets) == 35
+    expected = n / 35
+    stat = float(((counts[subsets] - expected) ** 2).sum() / expected)
+    assert stat < chi2.ppf(1 - 1e-3, df=34) < 65.3, stat
+
+
+def test_sparse_layout_at_full_fan_in_connects_everything():
+    # fan_in = m in the second layer, after a layer that takes 4 of 9
+    masks = make_sparse_layout([9, 4, 6, 2], 4, np.random.default_rng(8))
+    assert masks[0].sum(axis=1).tolist() == [4] * 4
+    assert masks[1].all() and masks[2].all()
+    assert make_sparse_layout([5, 3, 2], 5, np.random.default_rng(8))[0].all()
+
+
+def test_sparse_layout_allocates_little_beyond_its_masks():
+    # the reference architecture's draws: the masks take 6.4 MB, and an
+    # m-draws-per-unit sampler peaks above 52 MB on the 1280 x 2560 layer alone
+    sizes = [784, 2560, 1280, 640, 320, 160, 80, 40, 20, 10]
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        masks = make_sparse_layout(sizes, 10, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(mask.nbytes for mask in masks)
+    assert returned == 6_376_040
+    assert peak <= 2 * returned, (peak, returned)
+
+
+@st.composite
+def masks_with_empty_and_full_rows(draw):
+    n, m = draw(st.integers(2, 9)), draw(st.integers(1, 8))
+    mask = draw(hnp.arrays(bool, (n, m)))
+    empty, full = draw(st.permutations(range(n)))[:2]
+    mask[empty], mask[full] = False, True
+    if draw(st.booleans()):
+        mask = np.asfortranarray(mask)  # a layout that np.flatnonzero must copy
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(masks_with_empty_and_full_rows())
+def test_layer_index_equals_one_built_from_nonzero(mask):
+    n, m = mask.shape
+    idx = network._LayerIndex(mask, n, m, 0)
+    rows, cols = np.nonzero(mask)
+    degrees = 1 + np.bincount(rows, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    indices = np.insert(cols + 1, indptr[:-1] - np.arange(n), 0)
+    np.testing.assert_array_equal(idx.degrees, degrees)
+    np.testing.assert_array_equal(idx.indptr, indptr)
+    np.testing.assert_array_equal(idx.indices, indices)
+    ks = np.unique(degrees)
+    assert len(idx.groups) == len(ks)
+    for k, (units, entries, group_cols) in zip(ks, idx.groups, strict=True):
+        np.testing.assert_array_equal(units, np.flatnonzero(degrees == k))
+        np.testing.assert_array_equal(entries, indptr[units, None] + np.arange(k))
+        np.testing.assert_array_equal(group_cols, indices[entries])
+    np.testing.assert_array_equal(idx.mask, mask)
 
 
 @pytest.mark.parametrize("fan_in", [-1, 0])
@@ -357,6 +443,29 @@ def test_init_sparse_uses_effective_fans():
     assert np.abs(vals).max() <= a
     assert np.abs(vals).max() > 0.8 * a  # 200 draws should come close to the bound
     assert np.all(bw[:, 1:][~masks[0]] == 0.0)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_init_writes_block_order_draws_into_every_entry(masked):
+    # theta starts NaN, so an entry that init leaves unwritten shows; the
+    # reference draws one uniform per connection and inserts zero biases
+    sizes = [6, 5, 4, 3]
+    masks = None
+    if masked:  # fan-ins 3, 0, 6, 1, 2 and a dense output layer
+        rows = [[1, 0, 0, 1, 1, 0], [0] * 6, [1] * 6, [0, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0]]
+        second = make_sparse_layout(sizes[1:], 2, np.random.default_rng(1))[0]
+        masks = [np.array(rows, dtype=bool), second, None]
+    net = Network(sizes, "tanh", masks=masks)
+    net.theta[:] = np.nan
+    net.init_params(np.random.default_rng(14))
+    rng = np.random.default_rng(14)
+    want = []
+    for idx in net._index:
+        nnz = idx.size - idx.n
+        a = np.sqrt(6.0 / (nnz / idx.n + nnz / idx.m))
+        draws = rng.uniform(-a, a, size=nnz)
+        want.append(np.insert(draws, idx.indptr[:-1] - np.arange(idx.n), 0.0))
+    np.testing.assert_array_equal(net.theta, np.concatenate(want))
 
 
 # ---------------------------------------------------------------------------
