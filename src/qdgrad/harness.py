@@ -30,6 +30,9 @@ __all__ = [
 LOG_COLUMNS = ("epoch", "train_nll", "train_err", "valid_nll", "valid_err",
                "wall_s", "diverged")
 
+# eval_metrics sums the losses and errors of EVAL_CHUNK rows at a time, in
+# index order, whatever the row blocks its forward passes run over
+# (Network.eval_output), so the floats it reports do not depend on them
 EVAL_CHUNK = 1024
 NAN_METRICS = (math.nan,) * 4  # train_nll, train_err, valid_nll, valid_err of a diverged epoch
 
@@ -148,7 +151,12 @@ class TrainLog:
 def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
     """(mean loss, mean error) over the given rows, dropout disabled.
 
-    Each chunk's forward pass runs in net.scratch, like a training step.
+    The rows are taken EVAL_CHUNK at a time, in index order: a chunk's
+    eval-mode output (Network.eval_output) is computed in net.scratch, like
+    a training step's forward, and its losses and its errors are each
+    summed once. A masked net's output comes from forward passes over
+    blocks of fewer rows, with the floats of one pass over the chunk, so
+    the means are the same floats whatever the blocks are.
     """
     if len(idx) == 0:
         return math.nan, math.nan
@@ -158,7 +166,7 @@ def eval_metrics(net: Network, model, ds: Dataset, idx) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(idx), EVAL_CHUNK):
             sel = idx[lo : lo + EVAL_CHUNK]
-            y = net.forward(ds.features[sel], mode="eval", scratch=net.scratch).output
+            y = net.eval_output(ds.features[sel], net.scratch)
             t = ds.target_batch(sel)
             loss_sum += float(np.sum(model.loss(y, t)))
             err_sum += float(np.sum(model.error(y, t)))

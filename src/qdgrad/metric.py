@@ -132,16 +132,22 @@ class StepSolve:
     root it divides by the square root of diag + epsilon instead
     (AdaGrad's exponent -1/2). buf is the
     loop's (3, n) scratch, n at least the solve's chunk width:
-    max(CHUNK_FLOATS, the longest block). finite records whether the
-    direction, the diagonal and the row all came out finite; a missing row
-    is finite. At epsilon = 0 a zero divisor makes the direction
-    non-finite, as in any solve, and finite says so.
+    max(CHUNK_FLOATS, the longest block), and zeros a row of n zeros.
+    finite records whether the direction, the diagonal and the row all
+    came out finite; a missing row is finite. Each chunk's check is one
+    dot product with zeros, NaN exactly when the chunk holds an inf or a
+    NaN (x * 0 is NaN for those and a zero for any finite x), so it needs
+    no chunk-sized mask; an inf raises numpy's invalid-value flag there,
+    which optimizer_step's np.errstate ignores. At epsilon = 0 a zero
+    divisor makes the direction non-finite, as in any solve, and finite
+    says so.
     """
 
     prev: "QDMetric"
     g: float
     divisor: float
     buf: np.ndarray
+    zeros: np.ndarray
     root: bool = False
     finite: list = field(default_factory=lambda: [True, True, True])
 
@@ -156,7 +162,8 @@ class StepSolve:
                 np.add(y, np.multiply(old[lo:hi], keep, out=tmp), out=y)  # add_terms
 
     def record(self, metric, out, lo, hi):
-        self.finite = [ok and (a is None or bool(np.isfinite(a[lo:hi]).all()))
+        zeros = self.zeros[: hi - lo]
+        self.finite = [ok and (a is None or bool(np.isfinite(np.dot(a[lo:hi], zeros))))
                        for ok, a in zip(self.finite, (out, metric.diag, metric.row))]
 
 

@@ -82,6 +82,22 @@ __all__ = [
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu")
 
+# An evaluation pass (Network.eval_output) runs a net's leading masked
+# layers over blocks of rows, each block as wide as keeps the widest of
+# their inputs [1|a] within 8 * CHUNK_FLOATS floats: 2 MiB, a core's L2
+# cache, which CHUNK_FLOATS keeps a chunk's few operands in. A masked
+# layer's CSR product reads a whole input row per stored entry, so once
+# the input outgrows the cache each read goes to memory: on the paper's
+# sparse net (2-vCPU Xeon) a 1024-row input [1|a] is 6.3 MB at layer 1
+# and 20 MB at layer 2, and the products take 17.6 and 13.2 ms per 1000
+# rows, against 10.4 and 7.0 ms in 200-row blocks. 2**18 / 2561 gives
+# that net 102-row blocks. Blocks of fewer than EVAL_BLOCK_MIN_ROWS rows
+# would spend their time on per-call overhead, so a wider layer still
+# takes that many (there, 32-row blocks took 35.7 ms per evaluation of
+# 1000 rows, 102-row ones 31.5 ms and one 1024-row pass 48.2 ms).
+EVAL_BLOCK_FLOATS = 8 * CHUNK_FLOATS
+EVAL_BLOCK_MIN_ROWS = 32
+
 # ParamVector: flat float64 array of length net.layout.dim.
 ParamVector = np.ndarray
 
@@ -407,6 +423,14 @@ class Network:
             self._index.append(idx)
             offset += idx.size
         self.layout = BlockLayout(np.concatenate([idx.degrees for idx in self._index]))
+        # the leading masked layers, which eval_output runs over blocks of
+        # eval_rows rows; None where the first layer is dense
+        self._blocked = next((l for l, idx in enumerate(self._index) if idx.dense),
+                             self.n_layers)
+        self.eval_rows = None
+        if self._blocked:
+            widest = max(1 + m for m in sizes[: self._blocked])
+            self.eval_rows = max(EVAL_BLOCK_MIN_ROWS, EVAL_BLOCK_FLOATS // widest)
         self.theta = np.zeros(self.layout.dim)
         # [b|W] per weight layer, aliasing theta, so writes to it are writes
         # to theta; forward reads P and backprop P.T from the same matrix
@@ -463,6 +487,14 @@ class Network:
             floats += max(1 + m for m in self.sizes[:-1])  # one temporary
         return floats * b
 
+    def _batch(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("input must be a (B, n) batch; one sample is a one-row batch")
+        if x.shape[1] != self.sizes[0]:
+            raise ValueError(f"input width {x.shape[1]} != {self.sizes[0]}")
+        return x
+
     def forward(self, x, mode="train", rng=None, scratch=None) -> ForwardTrace:
         """Trace of a forward pass; it and the passes over it carve from scratch.
 
@@ -473,11 +505,7 @@ class Network:
         """
         if mode not in ("train", "eval"):
             raise ValueError("mode must be train or eval")
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("input must be a (B, n) batch; one sample is a one-row batch")
-        if x.shape[1] != self.sizes[0]:
-            raise ValueError(f"input width {x.shape[1]} != {self.sizes[0]}")
+        x = self._batch(x)
         drop = self.dropout if mode == "train" else 0.0
         if drop > 0.0 and rng is None:
             raise ValueError("dropout in train mode needs an rng")
@@ -510,6 +538,59 @@ class Network:
             inputs.append(a)
         y = _matmul(self.layers[-1], a.T, scratch.take(self.sizes[-1], b)).T  # linear output
         return ForwardTrace(inputs, hidden, masks, y, self.version, scratch, scratch.passes)
+
+    def eval_output(self, x, scratch=None) -> np.ndarray:
+        """forward(x, mode="eval", scratch=scratch).output, the same floats, and no trace.
+
+        The net's leading masked layers run over blocks of at most
+        self.eval_rows rows, as few blocks as that allows, of sizes that
+        differ by at most one row (see EVAL_BLOCK_FLOATS): each block's
+        inputs stay in cache from one such layer to the next. Each block's
+        last such layer writes the block's rows of the whole batch's input
+        to the first dense layer, or of the output, and the layers from
+        the first dense one on run over the whole batch, since BLAS may
+        round a column of a product differently when the batch is cut. A
+        CSR product and the activations compute each row on its own, so
+        every block gets forward's floats. A net whose first layer is
+        dense, or a batch of at most eval_rows rows, takes forward's pass.
+        The output is a (B, K) view of scratch, a new one if None, valid
+        until its next reset.
+        """
+        x = self._batch(x)
+        b, p, sizes = len(x), self._blocked, self.sizes
+        n_blocks = -(-b // self.eval_rows) if p else 1  # ceil
+        if n_blocks <= 1:
+            return self.forward(x, mode="eval", scratch=scratch).output
+        rows = -(-b // n_blocks)
+        block = rows * (sum(1 + m for m in sizes[:p]) + 1 + sizes[p])
+        whole = b * (sum(1 + m for m in sizes[p:-1]) + sizes[-1])
+        scratch = (Scratch() if scratch is None else scratch).reset(block + whole)
+        wide = _with_ones(b, sizes[p], scratch) if p < self.n_layers else \
+            scratch.take(sizes[-1], b).T  # the next layer's input, or the output
+        for i in range(n_blocks):
+            lo, hi = i * b // n_blocks, (i + 1) * b // n_blocks
+            with scratch.released():
+                a = _with_ones(hi - lo, sizes[0], scratch)
+                a[:, 1:] = x[lo:hi]
+                wide[lo:hi] = self._eval_layers(a, range(p), scratch)
+        return self._eval_layers(wide, range(p, self.n_layers), scratch)
+
+    def _eval_layers(self, a, layers, scratch):
+        """The eval-mode pass of the given consecutive layers over their input a.
+
+        Returns the last one's [1|activation], or the output if it is the
+        output layer; with no layers, a itself. Each array is carved from
+        scratch and written as forward writes it.
+        """
+        b = a.shape[0]
+        for layer in layers:
+            P = self.layers[layer]
+            if layer == self.n_layers - 1:
+                return _matmul(P, a.T, scratch.take(P.shape[0], b)).T  # linear output
+            h = _with_ones(b, P.shape[0], scratch)
+            _act(self.activation, _matmul(P, a.T, h[:, 1:].T).T, out=h[:, 1:])
+            a = h
+        return a
 
     def backprop_deltas(self, trace: ForwardTrace, output_grad) -> list:
         """Per-layer pre-activation sensitivities for an output seed.

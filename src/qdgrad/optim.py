@@ -73,19 +73,22 @@ class OptimizerState:
     metric is built in: the step writes the minibatch metric terms there,
     and the solve forms the moving average in place, chunk by chunk; once
     the step has succeeded, metric and spare swap. chunks is the solve's
-    chunk-sized scratch. A step that raises has written only to these
+    chunk-sized scratch, and zeros a chunk-sized row of zeros that its
+    finiteness checks read. A step that raises has written only to these
     scratch arrays.
     """
 
     def __init__(self, net, cfg: OptimizerConfig):
         dim = net.layout.dim
         self.grad = np.empty(dim)
-        self.metric = self.direction = self.spare = self.chunks = None
+        self.metric = self.direction = self.spare = self.chunks = self.zeros = None
         if cfg.needs_metric:
             self.metric = QDMetric(net.layout, quasi=cfg.quasi)
             self.direction = np.empty(dim)
             self.spare = QDMetric(net.layout, quasi=cfg.quasi)
-            self.chunks = np.empty((3, max(CHUNK_FLOATS, int(net.layout.lengths.max()))))
+            width = max(CHUNK_FLOATS, int(net.layout.lengths.max()))
+            self.chunks = np.empty((3, width))
+            self.zeros = np.zeros(width)
         self.t = 0  # completed parameter updates
 
 
@@ -202,7 +205,8 @@ def optimizer_step(net, model, inputs, targets, state, cfg, rng=None) -> StepRep
             _metric_batch(net, model, trace, grad_deltas, cfg, rng, (new.diag, new.row), grad_mean)
             g = 1.0 if state.t == 0 else cfg.gamma
             # divides grad_mean by b as it goes
-            step = StepSolve(state.metric, g, b, state.chunks, root=cfg.algo == "adagrad")
+            step = StepSolve(state.metric, g, b, state.chunks, state.zeros,
+                             root=cfg.algo == "adagrad")
             direction = new.solve(grad_mean, cfg.epsilon, out=state.direction, _step=step)
             finite = step.finite
         if getattr(model, "learn_variance", False):

@@ -94,3 +94,67 @@ def test_a_run_of_another_environment_keeps_its_own():
     assert entry["env"]["thread_cpus"] == [0, 1]
     assert "env" not in entry["runs"][0]
     assert entry["runs"][1]["env"]["thread_cpus"] == [0, 0]
+
+
+def test_a_failed_run_is_kept_out_of_the_medians_and_the_set_is_still_recorded(
+        tmp_path, monkeypatch, capsys):
+    # seed 6 exits 1 in the second tree and seed 7 times out in the first;
+    # every other run is the captured output under its own seed
+    rec = load_recorder()
+    first, last = tmp_path / "first", tmp_path / "last"
+
+    def run_once(tree, workload, seed):
+        if (tree.name, seed) == ("last", 6):
+            raise rec.RunFailed(workload, seed, "exit 1",
+                                "\n".join(f"line {i}" for i in range(30)))
+        if (tree.name, seed) == ("first", 7):
+            raise rec.RunFailed(workload, seed, "timed out", None)
+        setup_s = 0.1 * seed if tree.name == "first" else 0.05 * seed
+        return CAPTURED.replace("seed 5 ", f"seed {seed} ").replace(
+            "0.1959572220002883", repr(setup_s))
+
+    monkeypatch.setattr(rec, "run_once", run_once)
+    monkeypatch.setattr(rec, "tree_commit", lambda tree: (tree.name, False))
+    monkeypatch.setattr(rec, "ROOT", tmp_path)  # where the entries go
+    (tmp_path / "BENCHMARK.json").write_text((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    assert rec.main(["--workload", "sparse-tanh-qdmcnat", "--seeds", "5", "6", "7", "8",
+                     "--tree", str(first), "--tree", str(last)]) == 0
+    out = capsys.readouterr().out
+    entries = json.loads((tmp_path / "BENCH_sparse-tanh-qdmcnat.json").read_text())
+    assert [e["commit"] for e in entries] == ["first", "last"]
+    a, b = entries
+    assert [run["seed"] for run in a["runs"]] == [5, 6, 8]
+    assert [run["seed"] for run in b["runs"]] == [5, 7, 8]
+    assert a["failed_runs"] == [{"seed": 7, "status": "timed out", "stderr_tail": []}]
+    assert b["failed_runs"] == [{"seed": 6, "status": "exit 1",
+                                 "stderr_tail": [f"line {i}" for i in range(20, 30)]}]
+    assert a["metrics"]["setup_s"]["median"] == pytest.approx(0.6)  # seeds 5, 6, 8
+    assert b["metrics"]["setup_s"]["median"] == pytest.approx(0.35)  # seeds 5, 7, 8
+    assert "tree 1 seed 6: exit 1, left out" in out
+    assert "tree 0 seed 7: timed out, left out" in out
+    assert "setup_s: median 0.6 -> 0.35, first tree's IQR 0.15, last tree better on 2 of 2" in out
+    assert "first tree, seed 7: timed out, left out" in out
+    assert "last tree, seed 6: exit 1, left out" in out
+
+
+def test_a_run_that_times_out_raises_run_failed_with_its_stderr_tail(tmp_path, monkeypatch):
+    rec = load_recorder()
+
+    def timeout(cmd, **kw):
+        raise rec.subprocess.TimeoutExpired(cmd, kw["timeout"], stderr=b"a\nb\n")
+
+    monkeypatch.setattr(rec.subprocess, "run", timeout)
+    with pytest.raises(rec.RunFailed) as e:
+        rec.run_once(tmp_path, "w", 3)
+    assert e.value.record == {"workload": "w", "seed": 3, "status": "timed out",
+                              "stderr_tail": ["a", "b"]}
+
+
+def test_an_entry_of_failed_runs_only_has_no_metrics():
+    rec = load_recorder()
+    failed = [rec.RunFailed("w", 4, "exit 2", "boom").record]
+    entry = rec.make_entry([], "abc", False, failed=failed)
+    assert entry["workload"] == "w" and entry["metrics"] == {} and entry["runs"] == []
+    assert entry["failed_runs"] == [{"seed": 4, "status": "exit 2", "stderr_tail": ["boom"]}]
+    assert rec.compare([], [rec.parse_run(CAPTURED)], (failed, ())) == [
+        "no metric to compare: a tree has no run", "first tree, seed 4: exit 2, left out"]

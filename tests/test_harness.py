@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdgrad import harness
 from qdgrad.data import Dataset
@@ -19,8 +21,8 @@ from qdgrad.harness import (
     parse_config_file,
     run_training,
 )
-from qdgrad.network import Network, load_checkpoint
-from qdgrad.outputs import CategoricalOutput
+from qdgrad.network import Network, Scratch, load_checkpoint, make_sparse_layout
+from qdgrad.outputs import CategoricalOutput, GaussianOutput
 
 
 def small_config(**kw):
@@ -175,6 +177,122 @@ def test_eval_metrics_empty_split_is_nan(subset_of):
     assert math.isnan(nll) and math.isnan(err)
     nll, err = eval_metrics(net, model, ds, ds.train_idx)
     assert nll == pytest.approx(math.log(10), rel=1e-12)  # all-zero logits
+
+
+# ---------------------------------------------------------------------------
+# Evaluation in row blocks
+# ---------------------------------------------------------------------------
+
+
+def mixed_fan_in_mask(rng, n, m):
+    """(n, m) mask whose units take 0 to m // 2 sources each."""
+    mask = np.zeros((n, m), dtype=bool)
+    for unit, k in enumerate(rng.integers(0, m // 2 + 1, size=n)):
+        mask[unit, rng.choice(m, size=k, replace=False)] = True
+    return mask
+
+
+# hidden sizes and which weight layers are masked; the output layer is last
+EVAL_NETS = {
+    "dense": ([40, 300, 200], [False, False, False]),
+    "mixed-fan-in": ([40, 900, 300], [True, True, False]),
+    "wide-dense-hidden": ([600, 300, 800, 30], [True, False, True, False]),
+    "masked-output": ([40, 900], [True, True]),
+}
+
+
+def parent_eval_metrics(net, model, ds, idx):
+    """eval_metrics as one forward pass per EVAL_CHUNK rows computed it."""
+    loss_sum = err_sum = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(idx), harness.EVAL_CHUNK):
+            sel = idx[lo : lo + harness.EVAL_CHUNK]
+            y = net.forward(ds.features[sel], mode="eval", scratch=Scratch()).output
+            t = ds.target_batch(sel)
+            loss_sum += float(np.sum(model.loss(y, t)))
+            err_sum += float(np.sum(model.error(y, t)))
+    return loss_sum / len(idx), err_sum / len(idx)
+
+
+@pytest.mark.parametrize("head", ["categorical", "gaussian"])
+@pytest.mark.parametrize("kind", sorted(EVAL_NETS))
+@settings(max_examples=15, deadline=None)
+@given(activation=st.sampled_from(["sigmoid", "tanh", "relu"]),
+       length=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (0, 1023), (0, 1024),
+                               (0, 1025), (0, 2500)]),
+       permuted=st.booleans(), scale=st.sampled_from([1.0, 8.0]), seed=st.integers(0, 2**32 - 1))
+def test_blocked_evaluation_reports_the_floats_of_one_pass_per_chunk(
+        kind, head, activation, length, permuted, scale, seed):
+    # a masked net's forward passes run over row blocks, dense layers over
+    # the whole chunk; the mean loss and error must be the floats of one
+    # forward pass per 1024-row chunk, bit for bit, for every length
+    # around the block and the chunk (length is (blocks, rows): blocks
+    # times the block plus rows), in index order or shuffled
+    rng = np.random.default_rng(seed)
+    hidden, masked = EVAL_NETS[kind]
+    k = 10 if head == "categorical" else 6
+    sizes = [*hidden, k]
+    masks = [mixed_fan_in_mask(rng, n, m) if mask else None
+             for n, m, mask in zip(sizes[1:], sizes[:-1], masked)]
+    net = Network(sizes, activation, masks=masks)
+    net.init_params(rng)
+    net.theta *= scale
+    n = 2600
+    x = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
+    if head == "categorical":
+        model, ds = CategoricalOutput(k), Dataset(x, rng.integers(0, k, size=n), "class", k)
+    else:
+        model = GaussianOutput(k, sigma=rng.uniform(0.5, 2.0, size=k))
+        ds = Dataset(x, rng.standard_normal((n, k)), "vector")
+    block = net.eval_rows or harness.EVAL_CHUNK
+    assert (net.eval_rows is None) == (kind == "dense")
+    length = length[0] * block + length[1]
+    idx = rng.permutation(n)[:length] if permuted else np.arange(n - length, n)
+    got = eval_metrics(net, model, ds, idx)
+    want = parent_eval_metrics(net, model, ds, idx)
+    assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    # and the outputs themselves, where a last-bit change could round away in the sums
+    x = ds.features[idx[: harness.EVAL_CHUNK]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(net.eval_output(x).view(np.int64),
+                                      net.forward(x, mode="eval").output.view(np.int64))
+
+
+def spy_batches(monkeypatch, method):
+    """The row counts of the arrays that Network.<method> is given, call by call."""
+    rows = []
+    original = getattr(Network, method)
+
+    def spy(net, a, *args, **kw):
+        rows.append(len(a))
+        return original(net, a, *args, **kw)
+
+    monkeypatch.setattr(Network, method, spy)
+    return rows
+
+
+def test_a_dense_net_evaluates_1024_rows_per_forward_pass(monkeypatch):
+    rng = np.random.default_rng(3)
+    net = Network([20, 30, 4], "tanh")
+    assert net.eval_rows is None
+    ds = Dataset(rng.uniform(size=(2500, 20)), rng.integers(0, 4, size=2500), "class", 4)
+    rows = spy_batches(monkeypatch, "forward")
+    eval_metrics(net, CategoricalOutput(4), ds, np.arange(2500))
+    assert rows == [1024, 1024, 452]
+
+
+def test_the_sparse_net_evaluates_in_blocks_of_at_most_102_rows(monkeypatch):
+    # 2**18 floats over its widest masked input, 1 + 2560: 102 rows, so a
+    # 1000-row chunk takes ten 100-row blocks, then its dense output layer
+    sizes = [784, 2560, 1280, 640, 320, 160, 80, 40, 20, 10]
+    rng = np.random.default_rng(4)
+    net = Network(sizes, "tanh", masks=make_sparse_layout(sizes, 10, rng))
+    assert net.eval_rows == 102
+    rows = spy_batches(monkeypatch, "_eval_layers")
+    net.eval_output(rng.uniform(size=(1000, 784)))
+    assert rows == [100] * 10 + [1000]
+    assert Network([5000, 10, 3], masks=[np.eye(10, 5000, dtype=bool), None]).eval_rows == 52
+    assert Network([9000, 10, 3], masks=[np.eye(10, 9000, dtype=bool), None]).eval_rows == 32
 
 
 def test_autoencoder_run_on_synthetic_signals():

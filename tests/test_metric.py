@@ -414,7 +414,7 @@ def test_the_step_pass_computes_the_floats_of_updated_then_solve(
         grad = v.copy()
         new = metric_over(layout, *(a if a is None else a * TERM_SCALE for a in batch))
         width = max(chunk, int(layout.lengths.max()))  # the solve's chunk width
-        step = StepSolve(prev, g, divisor, np.empty((3, width)), root=root)
+        step = StepSolve(prev, g, divisor, np.empty((3, width)), np.zeros(width), root=root)
         w = new.solve(grad, epsilon, out=np.empty(layout.dim), _step=step)
     np.testing.assert_array_equal(bits(new.diag), bits(new_ref.diag))
     np.testing.assert_array_equal(bits(new.row), bits(new_ref.row))
@@ -423,6 +423,69 @@ def test_the_step_pass_computes_the_floats_of_updated_then_solve(
     assert step.finite[0] == bool(np.isfinite(direction).all())
     assert step.finite[1:] == [bool(np.isfinite(new_ref.diag).all()),
                                new_ref.row is None or bool(np.isfinite(new_ref.row).all())]
+
+
+# what optimizer_step's DivergenceError names for each of StepSolve.finite's flags
+FINITE_NAMES = ("update direction", "metric diagonal", "metric row")
+
+
+def named(finite):
+    """The quantity a step names: the first flag in the check order that is down."""
+    return next((name for name, ok in zip(FINITE_NAMES, finite) if not ok), None)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 67])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_chunk_record_flags_a_non_finite_entry_at_every_position(length, value):
+    # record checks a chunk with one dot product against zeros. An inf, a
+    # -inf or a NaN at any position of the chunk, in the SIMD body or its
+    # tail, must lower the flags that the whole-chunk isfinite test
+    # lowered, so that the step names the same quantity; huge, subnormal
+    # and zero entries are finite, and entries outside the chunk are not
+    # read. A missing row is finite.
+    rng = np.random.default_rng(length)
+    magnitudes = [1.0, np.finfo(float).max, 1e-310, 0.0]  # two maxima of one sign overflow a sum
+    lo, hi = 3, 3 + length  # a chunk that starts inside the arrays, unaligned
+    n = hi + 4
+    layout = BlockLayout(np.array([n]))
+    for quasi in (True, False):
+        for which in range(3 if quasi else 2):
+            for pos in range(lo, hi):
+                m = QDMetric(layout, quasi)
+                out = np.empty(n)
+                arrays = [a for a in (out, m.diag, m.row) if a is not None]
+                for a in arrays:
+                    a[:] = rng.choice([-1.0, 1.0], size=n) * rng.choice(magnitudes, size=n)
+                    a[:lo], a[hi:] = np.nan, np.inf  # outside the chunk
+                arrays[which][pos] = value
+                step = StepSolve(None, 0.5, 1.0, np.empty((3, n)), np.zeros(n))
+                with np.errstate(invalid="ignore"):  # inf * 0, as optimizer_step allows
+                    step.record(m, out, lo, hi)
+                expected = [a is None or bool(np.isfinite(a[lo:hi]).all())
+                            for a in (out, m.diag, m.row)]
+                assert step.finite == expected
+                assert named(step.finite) == FINITE_NAMES[which]
+                arrays[which][pos] = 1.0
+                step.record(m, out, lo, hi)  # a later finite chunk keeps the flag down
+                assert named(step.finite) == FINITE_NAMES[which]
+
+
+@pytest.mark.parametrize("quasi", [True, False], ids=["quasi", "diagonal"])
+def test_a_chunk_record_names_the_direction_before_the_metric(quasi):
+    # with every array non-finite the step names the direction, as before;
+    # with none, it names nothing
+    n = 9
+    m = QDMetric(BlockLayout(np.array([n])), quasi)
+    out = np.zeros(n)
+    step = StepSolve(None, 0.5, 1.0, np.empty((3, n)), np.zeros(n))
+    step.record(m, out, 0, n)
+    assert step.finite == [True, True, True] and named(step.finite) is None
+    for a in (out, m.diag, m.row):
+        if a is not None:
+            a[n // 2] = np.nan
+    step.record(m, out, 0, n)
+    assert step.finite == [False, False, not quasi]
+    assert named(step.finite) == "update direction"
 
 
 @pytest.mark.parametrize("block", [0, 15, -1], ids=["first-run", "second-chunk-of-a-run", "last-run"])

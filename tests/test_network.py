@@ -1046,7 +1046,7 @@ def test_scaled_metric_terms_blend_to_within_the_error_bound_of_exact_values(
     with np.errstate(all="ignore"):
         _metric_batch(net, None, tr, q, cfg, None, (new.diag, new.row), state.grad)
         new.solve(state.grad, cfg.epsilon, out=state.direction,
-                  _step=StepSolve(prev, g, b, state.chunks))
+                  _step=StepSolve(prev, g, b, state.chunks, state.zeros))
 
     keep = 1.0 - g
     c, w = Fraction(1.0 - keep), Fraction(TERM_SCALE / b) / Fraction(TERM_SCALE)
